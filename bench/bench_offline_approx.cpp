@@ -11,6 +11,7 @@
 #include <iostream>
 
 #include "analysis/empirical.hpp"
+#include "core/bin_timeline.hpp"
 #include "core/brute_force.hpp"
 #include "core/opt_total.hpp"
 #include "offline/ddff.hpp"

@@ -152,7 +152,7 @@ int main(int argc, char** argv) {
   }
 
   // Round-trip latency samples per RoundTrip benchmark (microseconds),
-  // accumulated across every timed rep.
+  // accumulated across every timed rep; warmup samples are dropped.
   std::map<std::string, SummaryStats> latencies;
 
   std::vector<Spec> specs;
@@ -261,6 +261,8 @@ int main(int argc, char** argv) {
     }
     ++ran;
     for (std::size_t w = 0; w < warmup; ++w) spec.body();
+    // RoundTrip bodies record a latency per item; keep only the timed reps'.
+    latencies.erase(spec.name);
     telemetry::RegistrySnapshot before =
         telemetry::Registry::global().snapshot();
     telemetry::BenchTimingSeries& series =

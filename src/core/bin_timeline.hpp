@@ -1,9 +1,10 @@
 // BinTimeline: the level profile of a single bin over all time.
 //
-// Offline algorithms (Duration Descending First Fit, Dual Coloring's
-// validator) insert items out of arrival order, so feasibility of a
+// Offline algorithms (Duration Descending First Fit, the flexible
+// scheduler) insert items out of arrival order, so feasibility of a
 // placement must be checked over the item's whole active interval, not just
-// at its arrival instant. BinTimeline provides exactly that query.
+// at its arrival instant. BinTimeline provides exactly that query. A
+// finished Packing keeps no level profile (core/packing.hpp).
 #pragma once
 
 #include <vector>
@@ -49,8 +50,6 @@ class BinTimeline {
   const std::vector<ItemId>& items() const { return items_; }
 
   bool empty() const { return items_.empty(); }
-
-  const StepFunction& levelProfile() const { return level_; }
 
  private:
   StepFunction level_;

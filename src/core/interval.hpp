@@ -62,9 +62,24 @@ class IntervalSet {
  public:
   IntervalSet() = default;
 
-  /// Builds the normalized union of an arbitrary collection of intervals.
+  /// Builds the normalized union of an arbitrary collection of intervals
+  /// with one sweep: O(n) when they come sorted by lo, O(n log n) else.
+  /// The parts equal those n add() calls leave, in any insertion order.
   explicit IntervalSet(std::vector<Interval> intervals) {
-    for (const Interval& I : intervals) add(I);
+    auto byLo = [](const Interval& a, const Interval& b) {
+      return a.lo < b.lo;
+    };
+    if (!std::is_sorted(intervals.begin(), intervals.end(), byLo)) {
+      std::sort(intervals.begin(), intervals.end(), byLo);
+    }
+    for (const Interval& I : intervals) {
+      if (I.empty()) continue;
+      if (!parts_.empty() && I.lo <= parts_.back().hi) {
+        parts_.back().hi = std::max(parts_.back().hi, I.hi);
+      } else {
+        parts_.push_back(I);
+      }
+    }
   }
 
   /// Inserts [I.lo, I.hi), merging with existing overlapping or touching

@@ -1,15 +1,17 @@
 #include "core/lower_bounds.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "core/epsilon.hpp"
 
 namespace cdbp {
 
 StepFunction totalSizeProfile(const Instance& instance) {
-  StepFunction profile;
-  for (const Item& r : instance.items()) profile.add(r.interval, r.size);
-  return profile;
+  std::vector<StepFunction::Segment> pieces;
+  pieces.reserve(instance.size());
+  for (const Item& r : instance.items()) pieces.push_back({r.interval, r.size});
+  return StepFunction::sumOf(pieces);
 }
 
 double LowerBounds::best() const {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <vector>
 
 #include "core/epsilon.hpp"
 
@@ -18,32 +19,48 @@ Packing::Packing(const Instance& instance, std::vector<BinId> binOf)
   BinId maxBin = -1;
   for (BinId b : binOf_) maxBin = std::max(maxBin, b);
   bins_.resize(static_cast<std::size_t>(maxBin + 1));
-  for (const Item& r : instance.items()) {
-    BinId b = binOf_[r.id];
-    if (b >= 0) bins_[static_cast<std::size_t>(b)].add(r);
+  // Size each id list exactly: doubling growth leaves up to n ids of slack.
+  std::vector<std::size_t> counts(bins_.size(), 0);
+  for (BinId b : binOf_) {
+    if (b >= 0) ++counts[static_cast<std::size_t>(b)];
+  }
+  for (std::size_t b = 0; b < bins_.size(); ++b) {
+    bins_[b].items_.reserve(counts[b]);
+  }
+  for (ItemId id = 0; id < binOf_.size(); ++id) {
+    BinId b = binOf_[id];
+    if (b >= 0) bins_[static_cast<std::size_t>(b)].items_.push_back(id);
+  }
+  std::vector<Interval> intervals;
+  for (PackedBin& bin : bins_) {
+    intervals.clear();
+    for (ItemId id : bin.items_) intervals.push_back(instance[id].interval);
+    bin.busy_ = IntervalSet(intervals);
   }
 }
 
 Time Packing::totalUsage() const {
   Time total = 0;
-  for (const BinTimeline& bin : bins_) total += bin.usage();
+  for (const PackedBin& bin : bins_) total += bin.usage();
   return total;
 }
 
 std::size_t Packing::openBinsAt(Time t) const {
   std::size_t open = 0;
-  for (const BinTimeline& bin : bins_) {
+  for (const PackedBin& bin : bins_) {
     if (bin.busyPeriods().contains(t)) ++open;
   }
   return open;
 }
 
 StepFunction Packing::openBinProfile() const {
-  StepFunction profile;
-  for (const BinTimeline& bin : bins_) {
-    for (const Interval& busy : bin.busyPeriods().parts()) profile.add(busy, 1.0);
+  std::vector<StepFunction::Segment> pieces;
+  for (const PackedBin& bin : bins_) {
+    for (const Interval& busy : bin.busyPeriods().parts()) {
+      pieces.push_back({busy, 1.0});
+    }
   }
-  return profile;
+  return StepFunction::sumOf(pieces);
 }
 
 std::size_t Packing::maxConcurrentBins() const {
@@ -57,19 +74,22 @@ double Packing::averageUtilization() const {
 }
 
 std::optional<std::string> Packing::validate() const {
-  std::vector<bool> used(bins_.size(), false);
   for (const Item& r : instance_->items()) {
-    BinId b = binOf_[r.id];
-    if (b < 0) {
+    if (binOf_[r.id] < 0) {
       return "item " + std::to_string(r.id) + " is unassigned";
     }
-    used[static_cast<std::size_t>(b)] = true;
   }
   for (std::size_t b = 0; b < bins_.size(); ++b) {
-    if (!used[b]) {
+    if (bins_[b].items_.empty()) {
       return "bin ids are not dense: bin " + std::to_string(b) + " is empty";
     }
-    Size peak = bins_[b].peakLevel();
+    std::vector<StepFunction::Segment> pieces;
+    pieces.reserve(bins_[b].items_.size());
+    for (ItemId id : bins_[b].items_) {
+      const Item& r = (*instance_)[id];
+      pieces.push_back({r.interval, r.size});
+    }
+    Size peak = StepFunction::sumOf(pieces).maxValue();
     if (!leq(peak, kBinCapacity)) {
       return "bin " + std::to_string(b) + " exceeds capacity: peak level " +
              std::to_string(peak);

@@ -5,13 +5,34 @@
 #include <string>
 #include <vector>
 
-#include "core/bin_timeline.hpp"
 #include "core/instance.hpp"
+#include "core/interval.hpp"
 #include "core/step_function.hpp"
 #include "core/types.hpp"
 #include "util/check.hpp"
 
 namespace cdbp {
+
+/// What a Packing keeps of one bin: the periods it is non-empty and the ids
+/// of its items. There is no level profile; Packing::validate() sweeps the
+/// levels when asked.
+class PackedBin {
+ public:
+  /// Usage time of the bin: measure of the time it is non-empty (the span
+  /// of its items).
+  Time usage() const { return busy_.measure(); }
+
+  /// The busy periods of the bin as a normalized interval set.
+  const IntervalSet& busyPeriods() const { return busy_; }
+
+  /// Ids of the items placed in the bin, in increasing id order.
+  const std::vector<ItemId>& items() const { return items_; }
+
+ private:
+  friend class Packing;
+  IntervalSet busy_;
+  std::vector<ItemId> items_;
+};
 
 /// The result of running a packing algorithm on an Instance: bin id per
 /// item. Bin ids must be dense 0..numBins-1 in bin-opening order (the order
@@ -36,8 +57,8 @@ class Packing {
   }
   std::size_t numBins() const { return bins_.size(); }
 
-  /// The reconstructed level/usage timeline of bin b.
-  const BinTimeline& bin(BinId b) const {
+  /// The busy periods and items of bin b.
+  const PackedBin& bin(BinId b) const {
     CDBP_DCHECK(b >= 0 && static_cast<std::size_t>(b) < bins_.size(),
                 "bin: id ", b, " out of range");
     return bins_[static_cast<std::size_t>(b)];
@@ -64,14 +85,17 @@ class Packing {
   double averageUtilization() const;
 
   /// Returns an error description if the packing is infeasible (a bin's
-  /// level exceeds the unit capacity somewhere, an item is unassigned, or
-  /// bin ids are not dense), or std::nullopt when valid.
+  /// level exceeds the unit capacity by more than kSizeEps somewhere, an
+  /// item is unassigned, or bin ids are not dense), or std::nullopt when
+  /// valid. Each bin's level profile is swept from its items on demand
+  /// (StepFunction::sumOf); intervals are half-open, so items that only
+  /// touch never add up.
   std::optional<std::string> validate() const;
 
  private:
   const Instance* instance_ = nullptr;
   std::vector<BinId> binOf_;
-  std::vector<BinTimeline> bins_;
+  std::vector<PackedBin> bins_;
 };
 
 }  // namespace cdbp

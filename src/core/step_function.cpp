@@ -121,6 +121,59 @@ std::vector<StepFunction::Segment> StepFunction::segments() const {
   return out;
 }
 
+StepFunction StepFunction::sumOf(const std::vector<Segment>& pieces) {
+  struct Endpoint {
+    Time time;
+    double delta;
+    bool start;
+  };
+  std::vector<Endpoint> endpoints;
+  endpoints.reserve(2 * pieces.size());
+  for (const Segment& piece : pieces) {
+    const Interval& I = piece.interval;
+    if (I.empty() || piece.value == 0) continue;
+    CDBP_DCHECK(std::isfinite(I.lo) && std::isfinite(I.hi) &&
+                    std::isfinite(piece.value),
+                "sumOf: non-finite piece [", I.lo, ", ", I.hi, ") += ",
+                piece.value);
+    endpoints.push_back({I.lo, piece.value, true});
+    endpoints.push_back({I.hi, -piece.value, false});
+  }
+  // Ends before starts at one instant, so the sum restarts from an exact 0
+  // when every active piece ends at t and new ones start at t.
+  std::sort(endpoints.begin(), endpoints.end(),
+            [](const Endpoint& a, const Endpoint& b) {
+              if (a.time != b.time) return a.time < b.time;
+              return a.start < b.start;
+            });
+
+  StepFunction f;
+  std::size_t active = 0;
+  double sum = 0.0;
+  double compensation = 0.0;  // Neumaier: the low-order bits sum dropped
+  for (std::size_t i = 0; i < endpoints.size();) {
+    const Time t = endpoints[i].time;
+    for (; i < endpoints.size() && endpoints[i].time == t; ++i) {
+      const Endpoint& e = endpoints[i];
+      if (e.start) {
+        ++active;
+      } else if (--active == 0) {
+        sum = compensation = 0.0;
+        continue;
+      }
+      double next = sum + e.delta;
+      compensation += std::fabs(sum) >= std::fabs(e.delta)
+                          ? (sum - next) + e.delta
+                          : (e.delta - next) + sum;
+      sum = next;
+    }
+    // Recorded once every endpoint at t is applied: half-open pieces that
+    // only touch at t never add up.
+    f.points_.emplace_hint(f.points_.end(), t, sum + compensation);
+  }
+  return f;
+}
+
 std::vector<Time> StepFunction::breakpoints() const {
   std::vector<Time> out;
   out.reserve(points_.size());

@@ -61,6 +61,15 @@ class StepFunction {
   };
   std::vector<Segment> segments() const;
 
+  /// The sum over `pieces` of `value` on each piece's interval, built by
+  /// one sorted sweep over the endpoints: O(n log n), where n add() calls
+  /// walk every breakpoint under each interval. Leaves exactly the
+  /// breakpoints those add() calls would. The running sum is compensated
+  /// and restarts from an exact 0 wherever no piece is active, so values
+  /// match add()'s to within rounding, and bitwise when every partial sum
+  /// is exact (integer counts).
+  static StepFunction sumOf(const std::vector<Segment>& pieces);
+
   /// All segment breakpoints (including the leading/trailing zero regions'
   /// boundaries), sorted.
   std::vector<Time> breakpoints() const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "core/epsilon.hpp"
 #include "core/instance.hpp"
@@ -47,9 +48,10 @@ std::vector<MdItem> MdInstance::sortedByArrival() const {
 }
 
 StepFunction MdInstance::dimensionProfile(std::size_t d) const {
-  StepFunction profile;
-  for (const MdItem& r : items_) profile.add(r.interval, r.demand[d]);
-  return profile;
+  std::vector<StepFunction::Segment> pieces;
+  pieces.reserve(items_.size());
+  for (const MdItem& r : items_) pieces.push_back({r.interval, r.demand[d]});
+  return StepFunction::sumOf(pieces);
 }
 
 Time MdInstance::span() const {

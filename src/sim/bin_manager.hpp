@@ -133,6 +133,11 @@ class BasicBinManager {
   /// Currently open bin count.
   std::size_t openCount() const { return open_.size(); }
 
+  /// Distinct categories among the bins ever opened. Every bin receives
+  /// the item that opened it, so this is the number of categories the
+  /// placements used.
+  std::size_t categoriesOpened() const { return openByCategory_.size(); }
+
   // --- Mutation interface (driven by the simulators) ---
 
   /// Opens a new bin with the given category; returns its global id.

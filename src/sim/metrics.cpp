@@ -9,7 +9,7 @@ PackingMetrics computeMetrics(const Packing& packing) {
   metrics.totalUsage = packing.totalUsage();
   metrics.binsUsed = packing.numBins();
   for (std::size_t b = 0; b < packing.numBins(); ++b) {
-    const BinTimeline& bin = packing.bin(static_cast<BinId>(b));
+    const PackedBin& bin = packing.bin(static_cast<BinId>(b));
     metrics.binUsages.add(bin.usage());
     for (const Interval& busy : bin.busyPeriods().parts()) {
       metrics.rentalLengths.add(busy.length());

@@ -8,7 +8,6 @@
 #include <deque>
 #include <exception>
 #include <limits>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -87,7 +86,6 @@ struct ShardedSimulator::Impl {
     std::vector<Time> usageByBin;           // local bin id -> usage at close
     std::vector<OpenRec> opens;             // local bin id -> open record
     std::vector<CloseRec> closes;
-    std::set<int> categories;
     std::vector<std::pair<ItemId, BinId>> placements;  // capture mode
 
     // FIFO work queue: epoch buffers plus one trailing drain marker
@@ -458,7 +456,6 @@ struct ShardedSimulator::Impl {
           {slice.departures[i], slice.ids[i], target, slice.sizes[i]});
       std::push_heap(shard.pending.begin(), shard.pending.end(),
                      laterDeparture);
-      shard.categories.insert(shard.bins.info(target).category);
       if (capture) shard.placements.emplace_back(slice.ids[i], target);
       CDBP_TELEM_COUNT("sim.events_processed", 1);
       CDBP_TELEM_HIST("sim.item_size_permille", slice.sizes[i] * 1000.0);
@@ -587,7 +584,7 @@ struct ShardedSimulator::Impl {
     result.maxOpenBins = maxOpen;
     result.categoriesUsed = 0;
     for (const auto& shard : shards) {
-      result.categoriesUsed += shard->categories.size();
+      result.categoriesUsed += shard->bins.categoriesOpened();
     }
     if (options.capturePlacements) {
       result.binOf.assign(static_cast<std::size_t>(maxId) + 1, kUnassigned);

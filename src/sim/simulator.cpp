@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <set>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
 
@@ -20,24 +20,20 @@ namespace {
 // process.
 constexpr int kTracePid = 1;
 
-// One flat, pre-sorted timeline replaces the departure priority queue: all
-// 2n arrival/departure records live in one contiguous array, sorted once
-// by (time, kind, item). Departures order before arrivals at the same
-// instant (half-open intervals: an item leaving at t does not overlap one
-// arriving at t), and simultaneous departures drain in item-id order —
-// exactly the (time, id) pop order of the old heap, so bin levels evolve
-// through the identical sequence of floating-point updates.
-enum : std::uint8_t { kDeparture = 0, kArrival = 1 };
-
-struct TimelineEvent {
+// The timeline is replayed in (time, kind, item) order: departures before
+// arrivals at the same instant (half-open intervals: an item leaving at t
+// does not overlap one arriving at t), simultaneous departures in item-id
+// order — exactly the (time, id) pop order of the stream engine's heap, so
+// bin levels evolve through the identical sequence of floating-point
+// updates. Only the n departure records are sorted; the arrivals come in
+// (arrival, id) order and the loop merges the two.
+struct Departure {
   Time time;
   ItemId item;
-  std::uint8_t kind;
 };
 
-bool timelineBefore(const TimelineEvent& a, const TimelineEvent& b) {
+bool departsBefore(const Departure& a, const Departure& b) {
   if (a.time != b.time) return a.time < b.time;
-  if (a.kind != b.kind) return a.kind < b.kind;
   return a.item < b.item;
 }
 
@@ -90,7 +86,6 @@ SimResult simulateOnline(const Instance& instance, OnlinePolicy& policy,
   policy.reset();
   BinManager bins(options.engine == PlacementEngine::kIndexed);
   std::vector<BinId> binOf(instance.size(), kUnassigned);
-  std::set<int> categories;
   std::size_t maxOpen = 0;
 
   if (options.chromeTrace) {
@@ -98,40 +93,50 @@ SimResult simulateOnline(const Instance& instance, OnlinePolicy& policy,
                                         "cdbp simulation: " + policy.name());
   }
 
-  // Build the timeline. An item's departure sorts strictly after its
-  // arrival (durations are positive), so a departure record is always
-  // scanned after its item was placed.
-  std::vector<TimelineEvent> events;
-  events.reserve(2 * instance.size());
-  for (const Item& r : instance.items()) {
-    events.push_back({r.arrival(), r.id, kArrival});
-    events.push_back({r.departure(), r.id, kDeparture});
-  }
-  std::sort(events.begin(), events.end(), timelineBefore);
+  // Departures in (time, id) order. An item's departure sorts strictly
+  // after its arrival (durations are positive), so a departure record is
+  // always reached after its item was placed.
+  const std::vector<Item>& items = instance.items();
+  std::vector<Departure> departures;
+  departures.reserve(items.size());
+  for (const Item& r : items) departures.push_back({r.departure(), r.id});
+  std::sort(departures.begin(), departures.end(), departsBefore);
 
-  auto processDeparture = [&](const TimelineEvent& e) {
-    bins.removeItem(binOf[e.item], instance[e.item].size);
+  // Arrivals in (arrival, id) order. Ids are positions, so an instance
+  // whose arrivals never decrease is already in that order.
+  std::vector<ItemId> arrivalOrder;
+  const bool inArrivalOrder = std::is_sorted(
+      items.begin(), items.end(),
+      [](const Item& a, const Item& b) { return a.arrival() < b.arrival(); });
+  if (!inArrivalOrder) {
+    arrivalOrder.resize(items.size());
+    std::iota(arrivalOrder.begin(), arrivalOrder.end(), ItemId{0});
+    std::stable_sort(arrivalOrder.begin(), arrivalOrder.end(),
+                     [&](ItemId a, ItemId b) {
+                       return instance[a].arrival() < instance[b].arrival();
+                     });
+  }
+
+  auto processDeparture = [&](const Departure& d) {
+    bins.removeItem(binOf[d.item], instance[d.item].size);
     CDBP_TELEM_COUNT("sim.events_processed", 1);
     if (options.chromeTrace) {
       options.chromeTrace->addCounter("open_bins",
-                                      e.time * options.traceTimeScale,
+                                      d.time * options.traceTimeScale,
                                       kTracePid,
                                       static_cast<double>(bins.openCount()));
     }
   };
 
-  std::size_t arrivalsLeft = instance.size();
   std::size_t cursor = 0;
-  for (; cursor < events.size() && arrivalsLeft > 0; ++cursor) {
-    const TimelineEvent& e = events[cursor];
-    if (e.kind == kDeparture) {
-      // Batched draining: consecutive departure records release capacity
-      // back to back with no per-item heap traffic.
-      processDeparture(e);
-      continue;
+  for (std::size_t k = 0; k < items.size(); ++k) {
+    const Item& r = inArrivalOrder ? items[k] : instance[arrivalOrder[k]];
+    // Batched draining: departures due by this arrival release capacity
+    // back to back with no per-item heap traffic.
+    while (cursor < departures.size() &&
+           departures[cursor].time <= r.arrival()) {
+      processDeparture(departures[cursor++]);
     }
-    const Item& r = instance[e.item];
-    --arrivalsLeft;
 
     Item announced = r;
     if (options.announce) {
@@ -188,7 +193,6 @@ SimResult simulateOnline(const Instance& instance, OnlinePolicy& policy,
     }
     bins.addItem(target, r.size);
     binOf[r.id] = target;
-    categories.insert(bins.info(target).category);
     maxOpen = std::max(maxOpen, bins.openCount());
     CDBP_TELEM_COUNT("sim.events_processed", 1);
     CDBP_TELEM_HIST("sim.item_size_permille", r.size * 1000.0);
@@ -213,8 +217,8 @@ SimResult simulateOnline(const Instance& instance, OnlinePolicy& policy,
   // placement; they are drained only when a timeline artifact wants the
   // open-bin counter series to close at zero.
   if (options.chromeTrace) {
-    for (; cursor < events.size(); ++cursor) {
-      processDeparture(events[cursor]);
+    for (; cursor < departures.size(); ++cursor) {
+      processDeparture(departures[cursor]);
     }
     for (std::size_t b = 0; b < bins.binsOpened(); ++b) {
       const BinManager::BinInfo& info = bins.info(static_cast<BinId>(b));
@@ -230,7 +234,7 @@ SimResult simulateOnline(const Instance& instance, OnlinePolicy& policy,
   result.totalUsage = result.packing.totalUsage();
   result.binsOpened = bins.binsOpened();
   result.maxOpenBins = maxOpen;
-  result.categoriesUsed = categories.size();
+  result.categoriesUsed = bins.categoriesOpened();
   return result;
 }
 

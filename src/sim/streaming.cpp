@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -59,7 +58,6 @@ struct StreamEngine::Impl {
   OnlinePolicy& policy;
   StreamOptions options;
   BinManager bins;
-  std::set<int> categories;
   std::vector<PendingDeparture> pending;  // min-heap via push_heap/pop_heap
   // Per-bin usage, indexed by BinId and filled when the bin closes. Kept
   // so the final sum runs in bin-id order — the exact addition order of
@@ -218,7 +216,6 @@ struct StreamEngine::Impl {
     std::push_heap(pending.begin(), pending.end(), laterDeparture);
     result.peakOpenItems = std::max(result.peakOpenItems, pending.size());
     CDBP_TELEM_GAUGE_SET("stream.open_items", pending.size());
-    categories.insert(bins.info(target).category);
     result.maxOpenBins = std::max(result.maxOpenBins, bins.openCount());
     CDBP_TELEM_COUNT("sim.events_processed", 1);
     CDBP_TELEM_HIST("sim.item_size_permille", r.size * 1000.0);
@@ -295,7 +292,7 @@ struct StreamEngine::Impl {
     for (Time usage : usageByBin) totalUsage += usage;
     result.totalUsage = totalUsage;
     result.binsOpened = bins.binsOpened();
-    result.categoriesUsed = categories.size();
+    result.categoriesUsed = bins.categoriesOpened();
     if (options.computeLowerBound) result.lb3 = lb3.total();
     result.peakResidentBytes = residentPeak;
     done = true;

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
+#include "util/rng.hpp"
+
 namespace cdbp {
 namespace {
 
@@ -149,6 +155,24 @@ TEST(IntervalSet, ConstructorNormalizesArbitraryInput) {
 TEST(UnionMeasure, MatchesManualComputation) {
   EXPECT_DOUBLE_EQ(unionMeasure({{0, 2}, {1, 3}, {10, 11}}), 4.0);
   EXPECT_DOUBLE_EQ(unionMeasure({}), 0.0);
+}
+
+TEST(IntervalSet, ConstructorMatchesIncrementalAddInAnyOrder) {
+  Rng rng(7);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<Interval> intervals;
+    IntervalSet incremental;
+    for (int i = 0; i < 60; ++i) {
+      double lo = std::round(rng.uniform(0, 200)) / 2.0;
+      Interval I{lo, lo + std::round(rng.uniform(-2, 20)) / 2.0};
+      intervals.push_back(I);
+      incremental.add(I);
+    }
+    EXPECT_EQ(IntervalSet(intervals), incremental) << "trial " << trial;
+    std::sort(intervals.begin(), intervals.end(),
+              [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
+    EXPECT_EQ(IntervalSet(intervals), incremental) << "sorted, trial " << trial;
+  }
 }
 
 }  // namespace

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "core/epsilon.hpp"
+#include "online/policy_factory.hpp"
+#include "sim/streaming.hpp"
 #include "workload/generators.hpp"
 
 namespace cdbp {
@@ -57,6 +63,59 @@ TEST(LowerBounds, TotalSizeProfileMatchesInstanceQueries) {
   StepFunction profile = totalSizeProfile(inst);
   for (Time t : {0.5, 1.5, 2.5, 3.5}) {
     EXPECT_NEAR(profile.valueAt(t), inst.totalSizeAt(t), 1e-12) << t;
+  }
+}
+
+// The sweep-built profile against one built by add() per item, and the
+// bounds against the stream engine's incremental Proposition 3 bound:
+// sparse and dense loads, and flavor sizes whose totals hit integers
+// (where the ceiling's snapping decides).
+std::vector<Instance> profileInstances() {
+  std::vector<Instance> out;
+  WorkloadSpec sparse;
+  sparse.numItems = 400;
+  sparse.mu = 8.0;
+  out.push_back(generateWorkload(sparse, 1));
+  WorkloadSpec dense;
+  dense.numItems = 3000;
+  dense.mu = 16.0;
+  dense.arrivalRate = 64.0;
+  dense.minSize = 0.01;
+  dense.maxSize = 0.1;
+  out.push_back(generateWorkload(dense, 2));
+  WorkloadSpec flavors = dense;
+  flavors.sizes = SizeDist::kFlavors;
+  out.push_back(generateWorkload(flavors, 3));
+  return out;
+}
+
+TEST(LowerBounds, TotalSizeProfileMatchesAddBuiltOracle) {
+  for (const Instance& inst : profileInstances()) {
+    StepFunction oracle;
+    for (const Item& r : inst.items()) oracle.add(r.interval, r.size);
+    StepFunction profile = totalSizeProfile(inst);
+    ASSERT_EQ(profile.breakpoints(), oracle.breakpoints());
+    std::vector<StepFunction::Segment> got = profile.segments();
+    std::vector<StepFunction::Segment> want = oracle.segments();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].interval, want[i].interval);
+      EXPECT_NEAR(got[i].value, want[i].value, 1e-9);
+    }
+    LowerBounds lb = lowerBounds(inst);
+    EXPECT_EQ(lb.span, oracle.supportMeasure(kSizeEps));
+    double want3 = oracle.ceilIntegral(kSizeEps);
+    EXPECT_NEAR(lb.ceilIntegral, want3, 1e-9 * std::max(1.0, want3));
+  }
+}
+
+TEST(LowerBounds, CeilIntegralMatchesStreamIncrementalBound) {
+  for (const Instance& inst : profileInstances()) {
+    InstanceArrivalSource source(inst);
+    PolicyPtr policy = makePolicy("ff");
+    StreamResult stream = simulateStream(source, *policy);
+    double lb3 = lowerBounds(inst).ceilIntegral;
+    EXPECT_NEAR(stream.lb3, lb3, 1e-9 * std::max(1.0, lb3));
   }
 }
 

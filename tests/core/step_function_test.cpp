@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "core/epsilon.hpp"
 #include "util/rng.hpp"
 
@@ -167,6 +171,68 @@ TEST(StepFunction, RandomizedAgainstBruteForce) {
     for (const Op& op : ops) expectedIntegral += op.delta * (op.hi - op.lo);
     EXPECT_NEAR(f.integral(), expectedIntegral, 1e-6);
   }
+}
+
+// sumOf() against the add() oracle: the same breakpoints, values equal to
+// rounding (exactly for integer counts), exact zeros where nothing is active.
+TEST(StepFunction, SumOfMatchesAddOracle) {
+  Rng rng(20160712);
+  for (int trial = 0; trial < 20; ++trial) {
+    const bool counts = trial % 2 == 0;
+    std::vector<StepFunction::Segment> pieces;
+    StepFunction oracle;
+    for (int i = 0; i < 200; ++i) {
+      // Coarse endpoints so pieces often touch, nest and share endpoints.
+      double lo = std::round(rng.uniform(0, 400)) / 4.0;
+      double hi = lo + std::round(rng.uniform(0, 40)) / 4.0;
+      double value = counts ? 1.0 : rng.uniform(0.01, 1.0);
+      pieces.push_back({Interval{lo, hi}, value});
+      oracle.add({lo, hi}, value);
+    }
+    StepFunction bulk = StepFunction::sumOf(pieces);
+    ASSERT_EQ(bulk.breakpoints(), oracle.breakpoints()) << "trial " << trial;
+    std::vector<StepFunction::Segment> got = bulk.segments();
+    std::vector<StepFunction::Segment> want = oracle.segments();
+    ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].interval, want[i].interval);
+      if (counts) {
+        EXPECT_EQ(got[i].value, want[i].value);
+      } else {
+        EXPECT_NEAR(got[i].value, want[i].value, 1e-9);
+      }
+    }
+    EXPECT_NEAR(bulk.ceilIntegral(kSizeEps), oracle.ceilIntegral(kSizeEps),
+                1e-9 * std::max(1.0, oracle.ceilIntegral(kSizeEps)));
+    EXPECT_EQ(bulk.supportMeasure(kSizeEps), oracle.supportMeasure(kSizeEps));
+  }
+}
+
+TEST(StepFunction, SumOfSkipsEmptyAndZeroPieces) {
+  StepFunction f = StepFunction::sumOf(
+      {{Interval{1, 1}, 0.5}, {Interval{3, 2}, 0.5}, {Interval{0, 4}, 0.0}});
+  EXPECT_TRUE(f.empty());
+}
+
+TEST(StepFunction, SumOfRestartsFromExactZeroWhenNothingIsActive) {
+  // Even the compensated sum of these four values and their negations, in
+  // this end order, leaves a residual near -1e-31.
+  const double a = 0x1.6c33436c343ep+6;
+  const double b = 0x1.2a87dd2ff319fp-100;
+  const double c = 0x1.975f305d458d4p-18;
+  const double d = 0x1.e9bf335ed2062p-74;
+  const double tiny = 0x1p-100;
+  StepFunction f = StepFunction::sumOf({{Interval{0, 6}, a},
+                                        {Interval{1, 7}, b},
+                                        {Interval{2, 5}, c},
+                                        {Interval{3, 8}, d},
+                                        {Interval{8, 9}, tiny},
+                                        {Interval{10, 11}, tiny}});
+  // The last piece of a busy stretch ends as a new one starts at 8.
+  EXPECT_EQ(f.valueAt(8.5), tiny);
+  EXPECT_EQ(f.valueAt(9.5), 0.0);
+  EXPECT_EQ(f.valueAt(12), 0.0);
+  EXPECT_EQ(f.segments().size(), 9u);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "core/bin_timeline.hpp"
 #include "flexible/flexible_workload.hpp"
 #include "flexible/online_flexible.hpp"
 #include "multidim/md_policies.hpp"
@@ -105,6 +106,67 @@ TEST(PlacementDifferential, AdversarialSliverTrap) {
   Instance inst = firstFitSliverTrap(12, 8.0);
   for (const std::string& policySpec : allSpecs()) {
     expectIdentical(inst, policySpec, "sliver-trap");
+  }
+}
+
+// The Packing a run returns against one rebuilt from BinTimelines, which
+// carry full level maps: total usage (bitwise), per-bin busy periods and
+// items, the open-bin profile and its peak.
+void expectPackingMatchesTimelineOracle(const SimResult& result,
+                                        const std::string& label) {
+  SCOPED_TRACE(label);
+  const Packing& packing = result.packing;
+  std::vector<BinTimeline> oracle(packing.numBins());
+  for (const Item& r : packing.instance().items()) {
+    oracle[static_cast<std::size_t>(packing.binOf(r.id))].add(r);
+  }
+  Time usage = 0;
+  StepFunction profile;
+  for (std::size_t b = 0; b < oracle.size(); ++b) {
+    usage += oracle[b].usage();
+    const PackedBin& bin = packing.bin(static_cast<BinId>(b));
+    ASSERT_EQ(bin.busyPeriods(), oracle[b].busyPeriods()) << "bin " << b;
+    ASSERT_EQ(bin.items(), oracle[b].items()) << "bin " << b;
+    for (const Interval& busy : oracle[b].busyPeriods().parts()) {
+      profile.add(busy, 1.0);
+    }
+  }
+  EXPECT_EQ(packing.totalUsage(), usage);
+  EXPECT_EQ(result.totalUsage, usage);
+  StepFunction got = packing.openBinProfile();
+  ASSERT_EQ(got.breakpoints(), profile.breakpoints());
+  std::vector<StepFunction::Segment> gotSegments = got.segments();
+  std::vector<StepFunction::Segment> wantSegments = profile.segments();
+  ASSERT_EQ(gotSegments.size(), wantSegments.size());
+  for (std::size_t i = 0; i < gotSegments.size(); ++i) {
+    EXPECT_EQ(gotSegments[i].interval, wantSegments[i].interval);
+    EXPECT_EQ(gotSegments[i].value, wantSegments[i].value);
+  }
+  EXPECT_EQ(packing.maxConcurrentBins(),
+            static_cast<std::size_t>(profile.maxValue() + 0.5));
+  EXPECT_FALSE(packing.validate().has_value());
+}
+
+TEST(PlacementDifferential, PackingMatchesBinTimelineOracle) {
+  std::vector<std::pair<std::string, Instance>> cases;
+  for (double mu : {1.0, 8.0, 64.0}) {
+    WorkloadSpec spec;
+    spec.numItems = 120;
+    spec.mu = mu;
+    cases.emplace_back("mu=" + std::to_string(mu), generateWorkload(spec, 1));
+  }
+  WorkloadSpec manyOpen;
+  manyOpen.numItems = 400;
+  manyOpen.mu = 16.0;
+  manyOpen.arrivalRate = 64.0;
+  cases.emplace_back("many-open", generateWorkload(manyOpen, 13));
+  cases.emplace_back("sliver-trap", firstFitSliverTrap(12, 8.0));
+  for (const auto& [label, inst] : cases) {
+    for (const std::string& policySpec : allSpecs()) {
+      expectPackingMatchesTimelineOracle(
+          runWith(inst, policySpec, PlacementEngine::kIndexed),
+          label + " / " + policySpec);
+    }
   }
 }
 

@@ -5,6 +5,7 @@
 #include "core/instance.hpp"
 #include "multidim/md_lower_bounds.hpp"
 #include "multidim/md_packing.hpp"
+#include "multidim/md_workload.hpp"
 
 namespace cdbp {
 namespace {
@@ -51,6 +52,25 @@ TEST(MdInstance, DimensionProfiles) {
   EXPECT_DOUBLE_EQ(d1.valueAt(2), 0.8);
   EXPECT_DOUBLE_EQ(d0.valueAt(3.5), 0.5);
   EXPECT_DOUBLE_EQ(d1.valueAt(3.5), 0.2);
+}
+
+TEST(MdInstance, DimensionProfilesMatchAddBuiltOracle) {
+  MdWorkloadSpec spec;
+  spec.numItems = 600;
+  MdInstance inst = generateMdWorkload(spec, 11);
+  for (std::size_t d = 0; d < inst.dims(); ++d) {
+    StepFunction oracle;
+    for (const MdItem& r : inst.items()) oracle.add(r.interval, r.demand[d]);
+    StepFunction profile = inst.dimensionProfile(d);
+    ASSERT_EQ(profile.breakpoints(), oracle.breakpoints()) << "dim " << d;
+    std::vector<StepFunction::Segment> got = profile.segments();
+    std::vector<StepFunction::Segment> want = oracle.segments();
+    ASSERT_EQ(got.size(), want.size()) << "dim " << d;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].interval, want[i].interval);
+      EXPECT_NEAR(got[i].value, want[i].value, 1e-9);
+    }
+  }
 }
 
 TEST(MdInstance, SpanAndDurations) {

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "online/any_fit.hpp"
+#include "online/policy_factory.hpp"
+#include "util/rng.hpp"
 #include "workload/generators.hpp"
 
 namespace cdbp {
@@ -158,6 +164,43 @@ TEST_P(SimulatorFeasibility, FirstFitPackingsAlwaysValidate) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimulatorFeasibility,
                          ::testing::Range<std::uint64_t>(1, 11));
+
+// An instance whose ids do not follow arrival order is replayed in
+// (arrival, id) order: the same decisions as on its arrival-sorted copy.
+// Integer arrivals make many ties, so the id tie-break is exercised.
+TEST(Simulator, OutOfArrivalOrderInstanceReplaysInArrivalOrder) {
+  WorkloadSpec spec;
+  spec.numItems = 300;
+  spec.mu = 8.0;
+  spec.arrivalRate = 6.0;
+  Instance generated = generateWorkload(spec, 21);
+  std::vector<Item> items;
+  for (const Item& r : generated.items()) {
+    Time arrival = std::floor(r.arrival());
+    items.emplace_back(0, r.size, arrival, arrival + r.duration());
+  }
+  Rng rng(21);
+  std::shuffle(items.begin(), items.end(), rng.engine());
+  Instance shuffled(std::move(items));
+  std::vector<Item> order = shuffled.sortedByArrival();
+  Instance sorted(order);
+  for (const char* policySpec : {"ff", "bf", "cdt-ff"}) {
+    SCOPED_TRACE(policySpec);
+    PolicyPtr policy =
+        makePolicy(policySpec, PolicyContext::forInstance(shuffled));
+    SimResult got = simulateOnline(shuffled, *policy);
+    SimResult want = simulateOnline(sorted, *policy);
+    EXPECT_EQ(got.totalUsage, want.totalUsage);
+    EXPECT_EQ(got.binsOpened, want.binsOpened);
+    EXPECT_EQ(got.maxOpenBins, want.maxOpenBins);
+    EXPECT_EQ(got.categoriesUsed, want.categoriesUsed);
+    for (std::size_t k = 0; k < order.size(); ++k) {
+      ASSERT_EQ(got.packing.binOf(order[k].id),
+                want.packing.binOf(static_cast<ItemId>(k)))
+          << "arrival " << k;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace cdbp
