@@ -96,6 +96,12 @@ class InstanceBuilder {
     return *this;
   }
 
+  /// Reserves room for `count` items (no effect on the built instance).
+  InstanceBuilder& reserve(std::size_t count) {
+    items_.reserve(count);
+    return *this;
+  }
+
   Instance build() { return Instance(std::move(items_)); }
 
  private:

@@ -133,6 +133,19 @@ class BasicBinManager {
   /// Currently open bin count.
   std::size_t openCount() const { return open_.size(); }
 
+  /// Heap bytes the manager holds: per-bin metadata (O(bins opened)), the
+  /// open lists and, when indexed, the placement index (O(open bins)).
+  /// Capacities, not sizes, so the figure is what the allocator handed
+  /// out. O(1).
+  std::size_t residentBytes() const {
+    std::size_t bytes = bins_.capacity() * sizeof(BinInfo) +
+                        open_.capacity() * sizeof(BinId) + categoryBytes_;
+    if constexpr (R::kIndexable) {
+      if (indexed_) bytes += index_.residentBytes();
+    }
+    return bytes;
+  }
+
   /// Distinct categories among the bins ever opened. Every bin receives
   /// the item that opened it, so this is the number of categories the
   /// placements used.
@@ -145,7 +158,13 @@ class BasicBinManager {
     BinId id = static_cast<BinId>(bins_.size());
     bins_.push_back(BinInfo{id, category, R::zeroLevel(shape_), 0, now, true});
     open_.push_back(id);
-    openByCategory_[category].push_back(id);
+    auto [it, added] = openByCategory_.try_emplace(category);
+    const std::size_t capacityBefore = it->second.capacity();
+    it->second.push_back(id);
+    // Map node (value plus three links and a color word) and list growth.
+    categoryBytes_ +=
+        (added ? sizeof(*it) + 4 * sizeof(void*) : 0) +
+        (it->second.capacity() - capacityBefore) * sizeof(BinId);
     if constexpr (R::kIndexable) {
       if (indexed_) index_.onOpen(id, category);
     }
@@ -214,6 +233,7 @@ class BasicBinManager {
   std::vector<BinInfo> bins_;
   std::vector<BinId> open_;
   std::map<int, std::vector<BinId>> openByCategory_;
+  std::size_t categoryBytes_ = 0;  ///< openByCategory_'s heap, for residentBytes
   bool indexed_ = true;
   BinSearchIndexT<R> index_;
 };

@@ -23,6 +23,13 @@
 //    to the linear reference, with worst-case O(B) on adversarial level
 //    mixes and O(log B) when the prune bites (DESIGN.md §10.2).
 //
+// Slots are positions in opening order, not bin ids. A scope whose tree is
+// full while at most half its slots are open compacts instead of doubling:
+// the open slots move down, in slot order, and the tree is rebuilt in one
+// O(n) pass. Opening order survives, so every leftmost answer is unchanged,
+// and each tree stays O(open bins) no matter how many bins the run has
+// opened (DESIGN.md §9.1).
+//
 // Best Fit needs the *maximum* fitting level, which a min tree cannot
 // localize; for ordered levels it uses a level-ordered set instead,
 // materialized lazily so runs that never ask Best Fit queries pay zero set
@@ -30,7 +37,10 @@
 // (Dominant-Resource Fit) over the pruned fitting set in opening order.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <set>
@@ -45,8 +55,8 @@
 namespace cdbp {
 
 /// Array-backed tournament (segment) tree over bin slots keyed by level.
-/// Slots are append-only (bins are never re-opened); a closed slot is
-/// parked at R::closedLevel, which no query can fit into.
+/// Slots are handed out in append order; a closed slot is parked at
+/// R::closedLevel, which no query can fit into, until compact() drops it.
 template <typename R>
 class MinLevelTreeT {
  public:
@@ -58,15 +68,31 @@ class MinLevelTreeT {
 
   explicit MinLevelTreeT(Shape shape = {}) : shape_(shape) {}
 
-  /// Appends a slot at the given level; returns its index (dense, in
-  /// append order). Amortized O(log B): the backing array doubles.
+  /// Appends an open slot at the given level; returns its index (dense, in
+  /// append order). Never moves existing slots. Amortized O(log B): the
+  /// backing array doubles when full.
   std::size_t append(const Level& level);
 
-  /// Sets a slot's level and re-sifts the path to the root. O(log B).
+  /// Sets an open slot's level and re-sifts the path to the root. O(log B).
   void update(std::size_t slot, const Level& level);
 
   /// Parks a slot at the closed sentinel (the bin closed). O(log B).
-  void close(std::size_t slot) { update(slot, R::closedLevel(shape_)); }
+  void close(std::size_t slot);
+
+  /// True when the next append() would double a tree whose slots are at
+  /// most half open: the point at which compact() should run instead.
+  bool wantsCompaction() const {
+    return cap_ > 0 && size_ == cap_ && 2 * open_ <= cap_;
+  }
+
+  /// Drops every closed slot. Open slots move down to 0..open-1 keeping
+  /// their order, and onMove(from, to) reports each one (from >= to, in
+  /// increasing order). The capacity shrinks to the smallest power of two
+  /// holding twice the open slots, and the tree is rebuilt in one O(cap)
+  /// pass. Run when wantsCompaction(), that is at least cap/2 appends after
+  /// the previous rebuild, so the cost is O(1) amortized per append.
+  template <typename OnMove>
+  void compact(OnMove&& onMove);
 
   /// Leftmost slot whose level fits `demand` (the First Fit answer), or
   /// npos when no open slot fits. O(log B) for ordered levels; pruned DFS
@@ -91,14 +117,23 @@ class MinLevelTreeT {
   /// Current level of a slot (the closed sentinel when closed).
   const Level& levelAt(std::size_t slot) const { return tree_[cap_ + slot]; }
 
-  /// Slots ever appended (open + closed).
+  /// Slots handed out since the last compaction (open + closed).
   std::size_t size() const { return size_; }
+
+  /// Open slots.
+  std::size_t openCount() const { return open_; }
+
+  /// Leaf slots the backing array holds (a power of two, or 0).
+  std::size_t capacity() const { return cap_; }
 
  private:
   std::size_t searchLeftmost(std::size_t pos, const Demand& demand) const;
   template <typename Fn>
   void visitFitting(std::size_t pos, const Demand& demand, Fn&& fn) const;
   void grow(std::size_t minCap);
+  // Installs `fresh` (leaves filled at [newCap, 2 * newCap)) as the tree
+  // after computing every internal node bottom-up.
+  void install(std::vector<Level> fresh, std::size_t newCap);
 
   // tree_[1] is the root, leaves live at [cap_, cap_ + size_); unassigned
   // leaves are closedLevel so they never win a descent.
@@ -106,13 +141,19 @@ class MinLevelTreeT {
   Shape shape_;
   std::size_t cap_ = 0;
   std::size_t size_ = 0;
+  std::size_t open_ = 0;
 };
 
 /// The placement index proper: one MinLevelTreeT + (for ordered levels) a
 /// lazy Best Fit set per scope, where a scope is either the global open
 /// set or one policy category. BasicBinManager drives it via onOpen /
 /// onLevelChange / onClose; queries return the bin id, or kNewBin when no
-/// open bin fits.
+/// open bin fits. A category's scope exists while the category has an open
+/// bin, and only once a second category appears: while every bin opened so
+/// far shares one category, that category's scope would mirror the global
+/// one bin for bin, so its queries read the global scope instead. Not
+/// copyable: each bin records a pointer to its category scope (std::map
+/// nodes survive moves, not copies).
 template <typename R>
 class BinSearchIndexT {
  public:
@@ -120,11 +161,30 @@ class BinSearchIndexT {
   using Demand = typename R::Demand;
   using Shape = typename R::Shape;
 
-  explicit BinSearchIndexT(Shape shape = {}) : shape_(shape), global_(shape) {}
+  explicit BinSearchIndexT(Shape shape = {})
+      : shape_(shape), global_(shape, 0) {}
+  BinSearchIndexT(const BinSearchIndexT&) = delete;
+  BinSearchIndexT& operator=(const BinSearchIndexT&) = delete;
+  BinSearchIndexT(BinSearchIndexT&&) = default;
+  BinSearchIndexT& operator=(BinSearchIndexT&&) = default;
 
   void onOpen(BinId id, int category);
   void onLevelChange(BinId id, const Level& newLevel);
   void onClose(BinId id);
+
+  /// Leaf slots of the global scope's tree: O(open bins), not O(bins ever
+  /// opened) — at most 4 * (peak open bins) + 1.
+  std::size_t slotCapacity() const { return global_.tree.capacity(); }
+  /// The same for one category's scope (0 while the category has no open
+  /// bin).
+  std::size_t slotCapacityIn(int category) const {
+    const Scope* scope = scopeOf(category);
+    return scope == nullptr ? 0 : scope->tree.capacity();
+  }
+
+  /// Heap bytes the index holds: trees, slot maps, Best Fit sets, scopes
+  /// and the per-bin slot records. O(1): kept as running totals.
+  std::size_t residentBytes() const;
 
   BinId firstFit(const Demand& demand) const {
     return firstFitIn(global_, demand);
@@ -153,9 +213,9 @@ class BinSearchIndexT {
   template <typename ScoreFn>
   BinId minScoreFitIn(int category, const Demand& demand,
                       ScoreFn&& score) const {
-    auto it = byCategory_.find(category);
-    if (it == byCategory_.end()) return kNewBin;
-    const Scope& scope = it->second;
+    const Scope* found = scopeOf(category);
+    if (found == nullptr) return kNewBin;
+    const Scope& scope = *found;
     BinId best = kNewBin;
     double bestScore = std::numeric_limits<double>::infinity();
     scope.tree.forEachFitting(
@@ -171,10 +231,11 @@ class BinSearchIndexT {
 
  private:
   struct Scope {
-    explicit Scope(Shape shape) : tree(shape) {}
+    Scope(Shape shape, int key) : tree(shape), category(key) {}
 
     MinLevelTreeT<R> tree;
     std::vector<BinId> slotToBin;  ///< slot (scope-local) -> global bin id
+    int category;  ///< key in byCategory_ (unused by the global scope)
     /// Open bins ordered by (level, id): Best Fit walks down from the
     /// fitting threshold. Built on the first bestFit query against this
     /// scope and maintained incrementally afterwards; mutable because
@@ -185,11 +246,33 @@ class BinSearchIndexT {
     mutable bool byLevelBuilt = false;
   };
 
+  // Where a bin lives: its slot in the global tree and in its category's
+  // tree, and that category's scope (null while one category is all there
+  // is). Meaningless once the bin closed (its category scope may be gone),
+  // and never read then.
+  struct BinSlots {
+    std::uint32_t global = 0;
+    std::uint32_t inCategory = 0;
+    Scope* category = nullptr;
+  };
+
+  // Appends bin `id` to `scope` (compacting first when the scope asks for
+  // it) and returns its slot; `field` names the BinSlots member that
+  // records slots of this scope, so compaction can rewrite moved bins.
+  std::uint32_t append(Scope& scope, BinId id, std::uint32_t BinSlots::*field);
+  // The scope answering queries for `category`, or null when it has no
+  // open bin.
+  const Scope* scopeOf(int category) const;
+  // Ends single-category mode: gives firstCategory_ its own scope, a copy
+  // of the global one.
+  void splitCategories();
   void apply(Scope& scope, std::size_t slot, BinId id, const Level* newLevel);
-  static void materialize(const Scope& scope)
+  // Bytes of a scope's tree and slot map (what slotBytes_ sums).
+  static std::size_t scopeBytes(const Scope& scope);
+  void materialize(const Scope& scope) const
     requires(R::kOrderedLevels);
   static BinId firstFitIn(const Scope& scope, const Demand& demand);
-  static BinId bestFitIn(const Scope& scope, const Demand& demand)
+  BinId bestFitIn(const Scope& scope, const Demand& demand) const
     requires(R::kOrderedLevels);
   static BinId worstFitIn(const Scope& scope, const Demand& demand)
     requires(R::kOrderedLevels);
@@ -197,10 +280,17 @@ class BinSearchIndexT {
   Shape shape_;
   Scope global_;
   std::map<int, Scope> byCategory_;
-  // Per-bin bookkeeping, indexed by the dense BinId. The global slot of bin
-  // b is b itself (bins open in id order); the category slot is recorded.
-  std::vector<std::size_t> categorySlot_;
-  std::vector<int> category_;
+  // Per-bin slot records, indexed by the dense BinId (bins open in id
+  // order). Compaction renumbers slots, so a slot is never a bin id.
+  std::vector<BinSlots> slots_;
+  // Running totals behind residentBytes(): scopeBytes() over every scope,
+  // and the entries of every Best Fit set.
+  std::size_t slotBytes_ = 0;
+  mutable std::size_t levelEntries_ = 0;
+  // Single-category mode: every bin opened so far has firstCategory_, and
+  // byCategory_ is empty.
+  bool oneCategory_ = true;
+  int firstCategory_ = 0;
 };
 
 // The scalar instantiations keep their PR 3 names (and, for the tree, the
@@ -219,13 +309,7 @@ using BinSearchIndex = BinSearchIndexT<ScalarResource>;
 // --- template definitions ---
 
 template <typename R>
-void MinLevelTreeT<R>::grow(std::size_t minCap) {
-  std::size_t newCap = cap_ == 0 ? 1 : cap_;
-  while (newCap < minCap) newCap *= 2;
-  std::vector<Level> fresh(2 * newCap, R::closedLevel(shape_));
-  for (std::size_t i = 0; i < size_; ++i) {
-    fresh[newCap + i] = std::move(tree_[cap_ + i]);
-  }
+void MinLevelTreeT<R>::install(std::vector<Level> fresh, std::size_t newCap) {
   for (std::size_t i = newCap - 1; i >= 1; --i) {
     Level combined = fresh[2 * i];
     R::assignMin(combined, fresh[2 * i + 1]);
@@ -236,9 +320,40 @@ void MinLevelTreeT<R>::grow(std::size_t minCap) {
 }
 
 template <typename R>
+void MinLevelTreeT<R>::grow(std::size_t minCap) {
+  std::size_t newCap = cap_ == 0 ? 1 : cap_;
+  while (newCap < minCap) newCap *= 2;
+  std::vector<Level> fresh(2 * newCap, R::closedLevel(shape_));
+  for (std::size_t i = 0; i < size_; ++i) {
+    fresh[newCap + i] = std::move(tree_[cap_ + i]);
+  }
+  install(std::move(fresh), newCap);
+}
+
+template <typename R>
+template <typename OnMove>
+void MinLevelTreeT<R>::compact(OnMove&& onMove) {
+  const std::size_t newCap = std::bit_ceil(std::max<std::size_t>(1, 2 * open_));
+  std::vector<Level> fresh(2 * newCap, R::closedLevel(shape_));
+  std::size_t to = 0;
+  for (std::size_t from = 0; from < size_; ++from) {
+    Level& level = tree_[cap_ + from];
+    if (R::isClosed(level)) continue;
+    fresh[newCap + to] = std::move(level);
+    onMove(from, to);
+    ++to;
+  }
+  CDBP_DCHECK(to == open_, "MinLevelTree::compact: found ", to,
+              " open slots, expected ", open_);
+  size_ = to;
+  install(std::move(fresh), newCap);
+}
+
+template <typename R>
 std::size_t MinLevelTreeT<R>::append(const Level& level) {
   if (size_ == cap_) grow(size_ + 1);
   std::size_t slot = size_++;
+  ++open_;
   update(slot, level);
   return slot;
 }
@@ -254,6 +369,14 @@ void MinLevelTreeT<R>::update(std::size_t slot, const Level& level) {
     R::assignMin(combined, tree_[2 * pos + 1]);
     tree_[pos] = std::move(combined);
   }
+}
+
+template <typename R>
+void MinLevelTreeT<R>::close(std::size_t slot) {
+  CDBP_DCHECK(slot < size_ && !R::isClosed(levelAt(slot)),
+              "MinLevelTree::close: slot ", slot, " is not open");
+  update(slot, R::closedLevel(shape_));
+  --open_;
 }
 
 template <typename R>
@@ -317,24 +440,80 @@ std::size_t MinLevelTreeT<R>::minSlot() const
 }
 
 template <typename R>
+std::uint32_t BinSearchIndexT<R>::append(Scope& scope, BinId id,
+                                         std::uint32_t BinSlots::*field) {
+  const std::size_t bytesBefore = scopeBytes(scope);
+  if (scope.tree.wantsCompaction()) {
+    scope.tree.compact([&](std::size_t from, std::size_t to) {
+      BinId moved = scope.slotToBin[from];
+      scope.slotToBin[to] = moved;  // to <= from: in place is safe
+      slots_[static_cast<std::size_t>(moved)].*field =
+          static_cast<std::uint32_t>(to);
+    });
+    scope.slotToBin.resize(scope.tree.size());
+    scope.slotToBin.shrink_to_fit();
+  }
+  std::size_t slot = scope.tree.append(R::zeroLevel(shape_));
+  CDBP_CHECK(slot <= std::numeric_limits<std::uint32_t>::max(),
+             "BinSearchIndex: more than 2^32 open bins in one scope");
+  scope.slotToBin.push_back(id);
+  slotBytes_ = slotBytes_ - bytesBefore + scopeBytes(scope);
+  return static_cast<std::uint32_t>(slot);
+}
+
+template <typename R>
+const typename BinSearchIndexT<R>::Scope* BinSearchIndexT<R>::scopeOf(
+    int category) const {
+  if (oneCategory_) {
+    return !slots_.empty() && category == firstCategory_ ? &global_ : nullptr;
+  }
+  auto it = byCategory_.find(category);
+  return it == byCategory_.end() ? nullptr : &it->second;
+}
+
+template <typename R>
+void BinSearchIndexT<R>::splitCategories() {
+  oneCategory_ = false;
+  if (global_.tree.openCount() == 0) return;  // firstCategory_ has no open bin
+  Scope& cat =
+      byCategory_.try_emplace(firstCategory_, global_).first->second;
+  cat.category = firstCategory_;
+  slotBytes_ += scopeBytes(cat);
+  levelEntries_ += cat.byLevel.size();
+  for (std::size_t slot = 0; slot < cat.tree.size(); ++slot) {
+    if (R::isClosed(cat.tree.levelAt(slot))) continue;
+    BinSlots& bin = slots_[static_cast<std::size_t>(cat.slotToBin[slot])];
+    bin.inCategory = bin.global;
+    bin.category = &cat;
+  }
+}
+
+template <typename R>
 void BinSearchIndexT<R>::onOpen(BinId id, int category) {
-  CDBP_DCHECK(static_cast<std::size_t>(id) == category_.size(),
+  CDBP_DCHECK(static_cast<std::size_t>(id) == slots_.size(),
               "BinSearchIndex::onOpen: ids must arrive densely, got ", id,
-              " expected ", category_.size());
-  Level zero = R::zeroLevel(shape_);
-  std::size_t globalSlot = global_.tree.append(zero);
-  CDBP_DCHECK(globalSlot == static_cast<std::size_t>(id),
-              "BinSearchIndex: global slot ", globalSlot,
-              " diverged from bin id ", id);
-  global_.slotToBin.push_back(id);
-  Scope& cat = byCategory_.try_emplace(category, shape_).first->second;
-  std::size_t catSlot = cat.tree.append(zero);
-  cat.slotToBin.push_back(id);
-  categorySlot_.push_back(catSlot);
-  category_.push_back(category);
+              " expected ", slots_.size());
+  if (slots_.empty()) {
+    firstCategory_ = category;
+  } else if (oneCategory_ && category != firstCategory_) {
+    splitCategories();
+  }
+  slots_.push_back(BinSlots{});
+  slots_.back().global = append(global_, id, &BinSlots::global);
+  Scope* cat = nullptr;
+  if (!oneCategory_) {
+    cat = &byCategory_.try_emplace(category, shape_, category).first->second;
+    slots_.back().category = cat;
+    slots_.back().inCategory = append(*cat, id, &BinSlots::inCategory);
+  }
   if constexpr (R::kOrderedLevels) {
-    if (global_.byLevelBuilt) global_.byLevel.insert({zero, id});
-    if (cat.byLevelBuilt) cat.byLevel.insert({zero, id});
+    Level zero = R::zeroLevel(shape_);
+    for (Scope* scope : {&global_, cat}) {
+      if (scope != nullptr && scope->byLevelBuilt) {
+        scope->byLevel.insert({zero, id});
+        ++levelEntries_;
+      }
+    }
   }
 }
 
@@ -345,7 +524,11 @@ void BinSearchIndexT<R>::apply(Scope& scope, std::size_t slot, BinId id,
     if (scope.byLevelBuilt) {
       const Level& oldLevel = scope.tree.levelAt(slot);
       if (!R::isClosed(oldLevel)) scope.byLevel.erase({oldLevel, id});
-      if (newLevel != nullptr) scope.byLevel.insert({*newLevel, id});
+      if (newLevel != nullptr) {
+        scope.byLevel.insert({*newLevel, id});
+      } else {
+        --levelEntries_;
+      }
     }
   }
   if (newLevel != nullptr) {
@@ -358,29 +541,57 @@ void BinSearchIndexT<R>::apply(Scope& scope, std::size_t slot, BinId id,
 template <typename R>
 void BinSearchIndexT<R>::onLevelChange(BinId id, const Level& newLevel) {
   std::size_t b = static_cast<std::size_t>(id);
-  CDBP_DCHECK(b < category_.size(),
+  CDBP_DCHECK(b < slots_.size(),
               "BinSearchIndex::onLevelChange: unknown bin ", id);
-  apply(global_, b, id, &newLevel);
-  apply(byCategory_.at(category_[b]), categorySlot_[b], id, &newLevel);
+  const BinSlots& slots = slots_[b];
+  apply(global_, slots.global, id, &newLevel);
+  if (slots.category != nullptr) {
+    apply(*slots.category, slots.inCategory, id, &newLevel);
+  }
 }
 
 template <typename R>
 void BinSearchIndexT<R>::onClose(BinId id) {
   std::size_t b = static_cast<std::size_t>(id);
-  CDBP_DCHECK(b < category_.size(), "BinSearchIndex::onClose: unknown bin ",
-              id);
-  apply(global_, b, id, nullptr);
-  apply(byCategory_.at(category_[b]), categorySlot_[b], id, nullptr);
+  CDBP_DCHECK(b < slots_.size(), "BinSearchIndex::onClose: unknown bin ", id);
+  const BinSlots& slots = slots_[b];
+  apply(global_, slots.global, id, nullptr);
+  if (slots.category == nullptr) return;
+  Scope& cat = *slots.category;
+  apply(cat, slots.inCategory, id, nullptr);
+  if (cat.tree.openCount() == 0) {
+    // The category's last open bin closed: drop its scope, so the index
+    // holds O(open categories) scopes. A later bin of the category starts
+    // a fresh scope, in which opening order is again slot order.
+    slotBytes_ -= scopeBytes(cat);
+    byCategory_.erase(cat.category);
+  }
 }
 
 template <typename R>
-void BinSearchIndexT<R>::materialize(const Scope& scope)
+std::size_t BinSearchIndexT<R>::scopeBytes(const Scope& scope) {
+  return 2 * scope.tree.capacity() * sizeof(Level) +
+         scope.slotToBin.capacity() * sizeof(BinId);
+}
+
+template <typename R>
+std::size_t BinSearchIndexT<R>::residentBytes() const {
+  // Red-black tree nodes: the value plus three links and a color word.
+  constexpr std::size_t kLinks = 4 * sizeof(void*);
+  return slotBytes_ + slots_.capacity() * sizeof(BinSlots) +
+         byCategory_.size() * (sizeof(std::pair<const int, Scope>) + kLinks) +
+         levelEntries_ * (sizeof(std::pair<Level, BinId>) + kLinks);
+}
+
+template <typename R>
+void BinSearchIndexT<R>::materialize(const Scope& scope) const
   requires(R::kOrderedLevels)
 {
   for (std::size_t slot = 0; slot < scope.tree.size(); ++slot) {
     const Level& level = scope.tree.levelAt(slot);
     if (!R::isClosed(level)) {
       scope.byLevel.insert({level, scope.slotToBin[slot]});
+      ++levelEntries_;
     }
   }
   scope.byLevelBuilt = true;
@@ -394,7 +605,8 @@ BinId BinSearchIndexT<R>::firstFitIn(const Scope& scope,
 }
 
 template <typename R>
-BinId BinSearchIndexT<R>::bestFitIn(const Scope& scope, const Demand& demand)
+BinId BinSearchIndexT<R>::bestFitIn(const Scope& scope,
+                                    const Demand& demand) const
   requires(R::kOrderedLevels)
 {
   if (!scope.byLevelBuilt) materialize(scope);
@@ -433,24 +645,24 @@ BinId BinSearchIndexT<R>::worstFitIn(const Scope& scope, const Demand& demand)
 
 template <typename R>
 BinId BinSearchIndexT<R>::firstFitIn(int category, const Demand& demand) const {
-  auto it = byCategory_.find(category);
-  return it == byCategory_.end() ? kNewBin : firstFitIn(it->second, demand);
+  const Scope* scope = scopeOf(category);
+  return scope == nullptr ? kNewBin : firstFitIn(*scope, demand);
 }
 
 template <typename R>
 BinId BinSearchIndexT<R>::bestFitIn(int category, const Demand& demand) const
   requires(R::kOrderedLevels)
 {
-  auto it = byCategory_.find(category);
-  return it == byCategory_.end() ? kNewBin : bestFitIn(it->second, demand);
+  const Scope* scope = scopeOf(category);
+  return scope == nullptr ? kNewBin : bestFitIn(*scope, demand);
 }
 
 template <typename R>
 BinId BinSearchIndexT<R>::worstFitIn(int category, const Demand& demand) const
   requires(R::kOrderedLevels)
 {
-  auto it = byCategory_.find(category);
-  return it == byCategory_.end() ? kNewBin : worstFitIn(it->second, demand);
+  const Scope* scope = scopeOf(category);
+  return scope == nullptr ? kNewBin : worstFitIn(*scope, demand);
 }
 
 // The hot scalar path is compiled once in bin_search.cpp; other resource

@@ -16,6 +16,10 @@
 //    tests can pin the indexed engine against it bit for bit. The only
 //    engine for non-indexable models (IntervalResource).
 //
+// The view also counts those probes itself (probes()): a view lives for one
+// placement, so the engines read each placement's scan cost from it
+// without touching the process-wide counter, which concurrent runs share.
+//
 // Queries return the chosen bin id or kNewBin when no open bin fits.
 // Best/Worst Fit exist only for ordered (scalar) levels; unordered models
 // use minScoreFitIn (Dominant-Resource Fit) or the open-list surface.
@@ -44,6 +48,10 @@ class BasicPlacementView {
 
   /// True when queries are answered by the sublinear index.
   bool indexed() const { return bins_.indexed(); }
+
+  /// Capacity probes issued through this view so far: each indexed query
+  /// and each linear-scan fits() counts one, exactly as `sim.fit_checks`.
+  std::size_t probes() const { return probes_; }
 
   // --- Indexed placement queries (engine-routed) ---
 
@@ -121,7 +129,7 @@ class BasicPlacementView {
     BinId best = kNewBin;
     double bestScore = std::numeric_limits<double>::infinity();
     for (BinId id : bins_.openBins(category)) {
-      if (!bins_.fits(id, demand)) continue;
+      if (!fits(id, demand)) continue;
       double s = score(bins_.info(id).level);
       if (s < bestScore - kSizeEps) {
         bestScore = s;
@@ -148,6 +156,7 @@ class BasicPlacementView {
   /// the per-bin question bespoke scans ask; every call counts toward
   /// `sim.fit_checks`.
   bool fits(BinId id, const Demand& demand) const {
+    ++probes_;
     return bins_.fits(id, demand);
   }
 
@@ -161,7 +170,10 @@ class BasicPlacementView {
   // One indexed query = one policy-visible capacity question. The linear
   // reference path instead counts every probe inside fits(), which is
   // exactly what the original scanning policies charged.
-  static void countIndexedQuery() { CDBP_TELEM_COUNT("sim.fit_checks", 1); }
+  void countIndexedQuery() const {
+    ++probes_;
+    CDBP_TELEM_COUNT("sim.fit_checks", 1);
+  }
 
   // The linear scans below reproduce the original policy loops verbatim —
   // same iteration order, same comparison operators, same counted fits()
@@ -171,7 +183,7 @@ class BasicPlacementView {
   BinId linearFirstFit(const std::vector<BinId>& bins,
                        const Demand& demand) const {
     for (BinId id : bins) {
-      if (bins_.fits(id, demand)) return id;
+      if (fits(id, demand)) return id;
     }
     return kNewBin;
   }
@@ -183,7 +195,7 @@ class BasicPlacementView {
     BinId best = kNewBin;
     Size bestLevel = -1;
     for (BinId id : bins) {
-      if (!bins_.fits(id, demand)) continue;
+      if (!fits(id, demand)) continue;
       Size level = bins_.info(id).level;
       if (level > bestLevel) {  // strict: ties keep the earliest-opened bin
         bestLevel = level;
@@ -200,7 +212,7 @@ class BasicPlacementView {
     BinId best = kNewBin;
     Size bestLevel = std::numeric_limits<Size>::infinity();
     for (BinId id : bins) {
-      if (!bins_.fits(id, demand)) continue;
+      if (!fits(id, demand)) continue;
       Size level = bins_.info(id).level;
       if (level < bestLevel) {  // strict: ties keep the earliest-opened bin
         bestLevel = level;
@@ -212,6 +224,7 @@ class BasicPlacementView {
 
   const BasicBinManager<R>& bins_;
   Time now_;
+  mutable std::size_t probes_ = 0;
 };
 
 /// The scalar instantiation keeps its PR 3 name; it is explicitly

@@ -37,20 +37,6 @@ bool departsBefore(const Departure& a, const Departure& b) {
   return a.item < b.item;
 }
 
-#if CDBP_TELEMETRY
-// Scan cost of one placement = fit() probes the policy issued for it,
-// measured as the delta of the global fit-check counter around place().
-// The counter is process-wide, so concurrent simulations (the parallel
-// sweep harness) would attribute each other's probes; the per-placement
-// histogram is therefore only recorded when the delta is plausible for a
-// single placement — the aggregate counter stays exact either way.
-telemetry::Counter& fitCheckCounter() {
-  static telemetry::Counter& c =
-      telemetry::Registry::global().counter("sim.fit_checks");
-  return c;
-}
-#endif
-
 }  // namespace
 
 SimResult simulateOnline(const Instance& instance, OnlinePolicy& policy,
@@ -149,16 +135,9 @@ SimResult simulateOnline(const Instance& instance, OnlinePolicy& policy,
     }
 
     PlacementView view(bins, r.arrival());
-#if CDBP_TELEMETRY
-    std::uint64_t fitChecksBefore = fitCheckCounter().value();
-#endif
     PlacementDecision decision = policy.place(view, announced);
-#if CDBP_TELEMETRY
-    std::uint64_t scanned = fitCheckCounter().value() - fitChecksBefore;
-    if (scanned <= bins.openCount()) {
-      CDBP_TELEM_HIST("sim.bins_scanned_per_placement", scanned);
-    }
-#endif
+    // Scan cost of this placement: the probes its view counted.
+    CDBP_TELEM_HIST("sim.bins_scanned_per_placement", view.probes());
     BinId target = decision.bin;
     if (target == kNewBin) {
       target = bins.openBin(decision.category, r.arrival());

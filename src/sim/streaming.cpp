@@ -26,16 +26,6 @@ using stream_internal::PendingDeparture;
 
 constexpr int kTracePid = 1;
 
-#if CDBP_TELEMETRY
-// Same counter the batch simulator attributes per-placement scan cost
-// from; see simulator.cpp for the concurrent-attribution caveat.
-telemetry::Counter& fitCheckCounter() {
-  static telemetry::Counter& c =
-      telemetry::Registry::global().counter("sim.fit_checks");
-  return c;
-}
-#endif
-
 }  // namespace
 
 InstanceArrivalSource::InstanceArrivalSource(const Instance& instance)
@@ -91,8 +81,7 @@ struct StreamEngine::Impl {
   void noteResident() {
     std::size_t bytes = pending.capacity() * sizeof(PendingDeparture) +
                         usageByBin.capacity() * sizeof(Time) +
-                        bins.binsOpened() * sizeof(BinManager::BinInfo) +
-                        bins.openCount() * 2 * sizeof(BinId);
+                        bins.residentBytes();
     if (bytes > residentPeak) {
       residentPeak = bytes;
       CDBP_TELEM_GAUGE_SET("stream.resident_bytes", bytes);
@@ -181,16 +170,9 @@ struct StreamEngine::Impl {
     if (options.computeLowerBound) lb3.onEvent(r.arrival(), r.size);
 
     PlacementView view(bins, r.arrival());
-#if CDBP_TELEMETRY
-    std::uint64_t fitChecksBefore = fitCheckCounter().value();
-#endif
     PlacementDecision decision = policy.place(view, announced);
-#if CDBP_TELEMETRY
-    std::uint64_t scanned = fitCheckCounter().value() - fitChecksBefore;
-    if (scanned <= bins.openCount()) {
-      CDBP_TELEM_HIST("sim.bins_scanned_per_placement", scanned);
-    }
-#endif
+    // Scan cost of this placement: the probes its view counted.
+    CDBP_TELEM_HIST("sim.bins_scanned_per_placement", view.probes());
     BinId target = decision.bin;
     if (target == kNewBin) {
       target = bins.openBin(decision.category, r.arrival());
@@ -327,6 +309,11 @@ std::size_t StreamEngine::itemsPlaced() const { return impl_->result.items; }
 std::size_t StreamEngine::binsOpened() const { return impl_->bins.binsOpened(); }
 
 std::size_t StreamEngine::openBins() const { return impl_->bins.openCount(); }
+
+std::size_t StreamEngine::indexSlotCapacity() const {
+  const BinManager& bins = impl_->bins;
+  return bins.indexed() ? bins.index().slotCapacity() : 0;
+}
 
 std::size_t StreamEngine::pendingDepartures() const {
   return impl_->pending.size();

@@ -123,7 +123,8 @@ struct StreamResult {
   /// peakOpenItems << items.
   std::size_t peakOpenItems = 0;
   /// Estimated peak bytes of simulator-owned state (departure heap +
-  /// usage ledger + bin metadata). An estimate from container capacities,
+  /// usage ledger + bin metadata + placement index, via
+  /// BinManager::residentBytes). An estimate from container capacities,
   /// not an allocator measurement. The sharded engine reports 0 here (its
   /// state is spread across workers), and reports peakOpenItems only when
   /// computeLowerBound is on (the feed thread's lb3 heap tracks it).
@@ -195,6 +196,9 @@ class StreamEngine {
   std::size_t pendingDepartures() const;
   std::size_t peakOpenItems() const;
   std::size_t peakResidentBytes() const;
+  /// Leaf slots of the placement index's global tree (0 for the linear
+  /// engine): bounded by the open bins, never by the bins ever opened.
+  std::size_t indexSlotCapacity() const;
 
  private:
   struct Impl;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -16,16 +17,16 @@ namespace {
 
 const char kCsvMagicPrefix[] = "# cdbp-trace v";
 
-std::string stripCr(std::string line) {
-  if (!line.empty() && line.back() == '\r') line.pop_back();
+std::string_view stripCr(std::string_view line) {
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
   return line;
 }
 
-std::string trimWs(const std::string& s) {
-  std::size_t first = s.find_first_not_of(" \t");
-  if (first == std::string::npos) return "";
-  std::size_t last = s.find_last_not_of(" \t");
-  return s.substr(first, last - first + 1);
+std::string_view trimWs(std::string_view s) {
+  auto blank = [](char c) { return c == ' ' || c == '\t'; };
+  while (!s.empty() && blank(s.front())) s.remove_prefix(1);
+  while (!s.empty() && blank(s.back())) s.remove_suffix(1);
+  return s;
 }
 
 std::string formatValue(double v) {
@@ -76,6 +77,32 @@ void requireScalar(const TraceReader& reader) {
   }
 }
 
+/// '\n' bytes from the stream's position to its end.
+std::size_t countLines(std::istream& in) {
+  std::vector<char> block(TraceReader::kBlockBytes);
+  std::size_t lines = 0;
+  while (in.read(block.data(), static_cast<std::streamsize>(block.size())) ||
+         in.gcount() > 0) {
+    lines += static_cast<std::size_t>(
+        std::count(block.data(), block.data() + in.gcount(), '\n'));
+  }
+  return lines;
+}
+
+/// readTraceInstance with room for `capacity` items reserved up front.
+Instance readInstance(std::istream& in, TraceFormat format,
+                      const std::string& source, std::size_t capacity) {
+  TraceReader reader(in, format, source);
+  requireScalar(reader);
+  InstanceBuilder builder;
+  builder.reserve(capacity);
+  TraceRecord record;
+  while (reader.next(record)) {
+    builder.add(record.sizes[0], record.arrival, record.departure);
+  }
+  return builder.build();
+}
+
 }  // namespace
 
 std::string traceFormatName(TraceFormat format) {
@@ -98,7 +125,10 @@ TraceFormat traceFormatForPath(const std::string& path) {
 
 TraceReader::TraceReader(std::istream& in, TraceFormat format,
                          std::string source)
-    : in_(in), format_(format), source_(std::move(source)) {
+    : in_(in),
+      format_(format),
+      source_(std::move(source)),
+      buffer_(kBlockBytes) {
   if (format_ == TraceFormat::kCsv) {
     parseCsvHeader();
   } else {
@@ -110,60 +140,95 @@ void TraceReader::fail(const std::string& why) const {
   throw TraceError(source_ + ", line " + std::to_string(line_) + ": " + why);
 }
 
-void TraceReader::parseCsvHeader() {
-  std::string line;
-  line_ = 1;
-  if (!std::getline(in_, line)) {
-    fail("empty input (expected magic line '# cdbp-trace v1')");
+void TraceReader::refill() {
+  const std::size_t tail = end_ - pos_;
+  if (pos_ > 0) std::memmove(buffer_.data(), buffer_.data() + pos_, tail);
+  pos_ = 0;
+  end_ = tail;
+  if (end_ == buffer_.size()) buffer_.resize(2 * buffer_.size());
+  in_.read(buffer_.data() + end_,
+           static_cast<std::streamsize>(buffer_.size() - end_));
+  end_ += static_cast<std::size_t>(in_.gcount());
+  if (in_.bad()) fail("read error");
+  // A short read sets failbit and eofbit: nothing follows end_.
+  if (!in_) eof_ = true;
+}
+
+bool TraceReader::nextLine(std::string_view& line) {
+  std::size_t searched = pos_;  // bytes before this have no '\n'
+  while (true) {
+    const char* base = buffer_.data();
+    const void* newline = std::memchr(base + searched, '\n', end_ - searched);
+    if (newline != nullptr) {
+      const std::size_t at =
+          static_cast<std::size_t>(static_cast<const char*>(newline) - base);
+      line = std::string_view(base + pos_, at - pos_);
+      pos_ = at + 1;
+      ++line_;
+      return true;
+    }
+    if (eof_) {
+      // A last line without '\n' still counts; an empty remainder is EOF.
+      if (pos_ == end_) return false;
+      line = std::string_view(base + pos_, end_ - pos_);
+      pos_ = end_;
+      ++line_;
+      return true;
+    }
+    searched = end_ - pos_;  // refill() moves the tail to offset 0
+    refill();
   }
-  line = trimWs(stripCr(line));
-  if (line.rfind(kCsvMagicPrefix, 0) != 0) {
-    fail("expected magic line '# cdbp-trace v1', got '" + line + "'");
+}
+
+std::string_view TraceReader::headerLine(const std::string& missing) {
+  std::string_view line;
+  if (!nextLine(line)) {
+    ++line_;  // name the line that is missing
+    fail(missing);
+  }
+  return line;
+}
+
+void TraceReader::parseCsvHeader() {
+  std::string_view line = trimWs(
+      stripCr(headerLine("empty input (expected magic line '# cdbp-trace v1')")));
+  if (!line.starts_with(kCsvMagicPrefix)) {
+    fail("expected magic line '# cdbp-trace v1', got '" + std::string(line) +
+         "'");
   }
   std::uint64_t version = 0;
   if (!tryParseUint(line.substr(sizeof(kCsvMagicPrefix) - 1), version)) {
-    fail("malformed version in magic line '" + line + "'");
+    fail("malformed version in magic line '" + std::string(line) + "'");
   }
   if (version != static_cast<std::uint64_t>(kTraceFormatVersion)) {
     fail("unsupported trace version " + std::to_string(version) +
          " (this build reads v" + std::to_string(kTraceFormatVersion) + ")");
   }
-  ++line_;
-  if (!std::getline(in_, line)) {
-    fail("missing column header 'arrival,departure,size'");
-  }
-  line = stripCr(line);
-  std::vector<std::string> columns;
-  std::size_t start = 0;
-  while (true) {
-    std::size_t comma = line.find(',', start);
-    columns.push_back(trimWs(
-        comma == std::string::npos ? line.substr(start)
-                                   : line.substr(start, comma - start)));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
+  line = stripCr(headerLine("missing column header 'arrival,departure,size'"));
+  std::vector<std::string_view> columns;
+  for (std::string_view rest = line;;) {
+    std::size_t comma = rest.find(',');
+    columns.push_back(trimWs(rest.substr(0, comma)));
+    if (comma == std::string_view::npos) break;
+    rest.remove_prefix(comma + 1);
   }
   if (columns.size() < 3 || columns[0] != "arrival" ||
       columns[1] != "departure") {
     fail("expected column header 'arrival,departure,size[,size2...]', got '" +
-         line + "'");
+         std::string(line) + "'");
   }
   for (std::size_t c = 2; c < columns.size(); ++c) {
     if (columns[c] != sizeFieldName(c - 2)) {
       fail("expected size column '" + sizeFieldName(c - 2) + "', got '" +
-           columns[c] + "'");
+           std::string(columns[c]) + "'");
     }
   }
   dims_ = columns.size() - 2;
 }
 
 void TraceReader::parseJsonlHeader() {
-  std::string line;
-  line_ = 1;
-  if (!std::getline(in_, line)) {
-    fail("empty input (expected a JSON header object)");
-  }
-  line = stripCr(line);
+  const std::string_view line =
+      stripCr(headerLine("empty input (expected a JSON header object)"));
 
   std::size_t i = 0;
   auto ws = [&] {
@@ -211,7 +276,7 @@ void TraceReader::parseJsonlHeader() {
       ++i;
     }
     if (i == start) fail("malformed header: missing value");
-    return line.substr(start, i - start);
+    return std::string(line.substr(start, i - start));
   };
 
   expect('{');
@@ -265,35 +330,29 @@ void TraceReader::parseJsonlHeader() {
   if (!sawVersion) fail("header is missing \"version\"");
 }
 
-bool TraceReader::nextDataLine(std::string& line) {
-  while (std::getline(in_, line)) {
-    ++line_;
-    std::string trimmed = trimWs(stripCr(line));
-    if (trimmed.empty()) continue;
-    if (format_ == TraceFormat::kCsv && trimmed[0] == '#') continue;
-    line = std::move(trimmed);
+bool TraceReader::nextDataLine(std::string_view& line) {
+  while (nextLine(line)) {
+    line = trimWs(stripCr(line));
+    if (line.empty()) continue;
+    if (format_ == TraceFormat::kCsv && line[0] == '#') continue;
     return true;
   }
-  if (in_.bad()) fail("read error");
   return false;
 }
 
-void TraceReader::parseCsvRecord(const std::string& line, TraceRecord& out) {
+void TraceReader::parseCsvRecord(std::string_view line, TraceRecord& out) {
   const std::size_t expected = dims_ + 2;
-  std::size_t start = 0;
   std::size_t cellIndex = 0;
   while (true) {
-    std::size_t comma = line.find(',', start);
-    std::string cell = trimWs(
-        comma == std::string::npos ? line.substr(start)
-                                   : line.substr(start, comma - start));
+    std::size_t comma = line.find(',');
+    std::string_view cell = trimWs(line.substr(0, comma));
     if (cellIndex >= expected) {
       fail("expected " + std::to_string(expected) + " cells, got more");
     }
     double value = 0;
     if (!tryParseDouble(cell, value)) {
-      fail("cell " + std::to_string(cellIndex + 1) + " ('" + cell +
-           "') is not a number");
+      fail("cell " + std::to_string(cellIndex + 1) + " ('" +
+           std::string(cell) + "') is not a number");
     }
     if (cellIndex == 0) {
       out.arrival = value;
@@ -303,8 +362,8 @@ void TraceReader::parseCsvRecord(const std::string& line, TraceRecord& out) {
       out.sizes.push_back(value);
     }
     ++cellIndex;
-    if (comma == std::string::npos) break;
-    start = comma + 1;
+    if (comma == std::string_view::npos) break;
+    line.remove_prefix(comma + 1);
   }
   if (cellIndex != expected) {
     fail("expected " + std::to_string(expected) + " cells, got " +
@@ -312,7 +371,7 @@ void TraceReader::parseCsvRecord(const std::string& line, TraceRecord& out) {
   }
 }
 
-void TraceReader::parseJsonlRecord(const std::string& line, TraceRecord& out) {
+void TraceReader::parseJsonlRecord(std::string_view line, TraceRecord& out) {
   const std::size_t expected = dims_ + 2;
   std::size_t i = 0;
   auto ws = [&] {
@@ -324,7 +383,7 @@ void TraceReader::parseJsonlRecord(const std::string& line, TraceRecord& out) {
   ws();
   if (i >= line.size() || line[i] != '[') {
     fail("expected a JSON array record '[arrival,departure,size...]', got '" +
-         line + "'");
+         std::string(line) + "'");
   }
   ++i;
   std::size_t count = 0;
@@ -339,11 +398,11 @@ void TraceReader::parseJsonlRecord(const std::string& line, TraceRecord& out) {
              !std::isspace(static_cast<unsigned char>(line[i]))) {
         ++i;
       }
-      std::string token = line.substr(start, i - start);
+      std::string_view token = line.substr(start, i - start);
       double value = 0;
       if (!tryParseDouble(token, value)) {
-        fail("element " + std::to_string(count + 1) + " ('" + token +
-             "') is not a number");
+        fail("element " + std::to_string(count + 1) + " ('" +
+             std::string(token) + "') is not a number");
       }
       if (count >= expected) {
         fail("expected " + std::to_string(expected) + " elements, got more");
@@ -386,7 +445,7 @@ void TraceReader::validateRecord(const TraceRecord& record) {
 }
 
 bool TraceReader::next(TraceRecord& out) {
-  std::string line;
+  std::string_view line;
   if (!nextDataLine(line)) return false;
   out.sizes.clear();
   if (format_ == TraceFormat::kCsv) {
@@ -494,21 +553,23 @@ void saveTrace(const Instance& instance, const std::string& path,
 
 Instance readTraceInstance(std::istream& in, TraceFormat format,
                            const std::string& source) {
-  TraceReader reader(in, format, source);
-  requireScalar(reader);
-  InstanceBuilder builder;
-  TraceRecord record;
-  while (reader.next(record)) {
-    builder.add(record.sizes[0], record.arrival, record.departure);
-  }
-  return builder.build();
+  return readInstance(in, format, source, 0);
 }
 
 Instance loadTraceInstance(const std::string& path) {
   TraceFormat format = traceFormatForPath(path);
   std::ifstream in(path);
   if (!in) throw TraceError("cannot open '" + path + "'");
-  return readTraceInstance(in, format, path);
+  // A first pass counts the lines (an upper bound on the records), so the
+  // item vector is allocated once at its final size. Grown by doubling
+  // through a large trace, it frees a cascade of blocks that glibc's heap
+  // packs badly once its mmap threshold has risen, and the process peak
+  // then moves by megabytes with unrelated small allocations (DESIGN.md
+  // §11.1).
+  const std::size_t lines = countLines(in);
+  in.clear();
+  in.seekg(0);
+  return readInstance(in, format, path, lines);
 }
 
 TraceStats scanTrace(std::istream& in, TraceFormat format,

@@ -45,6 +45,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/instance.hpp"
@@ -85,8 +86,18 @@ struct TraceRecord {
 
 /// Streaming reader: header is parsed (and validated) on construction,
 /// records are pulled one at a time — O(1) memory in the trace length.
+///
+/// The reader pulls the stream in kBlockBytes blocks with read() and
+/// splits lines in its own buffer, so records parse from views into that
+/// buffer and allocate nothing. A line longer than the buffer grows it:
+/// memory is O(block + longest line). The reader consumes the stream ahead
+/// of the record it returned, so the stream's position is unspecified
+/// while a reader is attached.
 class TraceReader {
  public:
+  /// Bytes requested per read() of the underlying stream.
+  static constexpr std::size_t kBlockBytes = 64 * 1024;
+
   /// `source` labels error messages (a path, "<stdin>", ...). Throws
   /// TraceError when the header is malformed or the version unsupported.
   TraceReader(std::istream& in, TraceFormat format,
@@ -107,14 +118,27 @@ class TraceReader {
   [[noreturn]] void fail(const std::string& why) const;
   void parseCsvHeader();
   void parseJsonlHeader();
-  bool nextDataLine(std::string& line);
-  void parseCsvRecord(const std::string& line, TraceRecord& out);
-  void parseJsonlRecord(const std::string& line, TraceRecord& out);
+  /// Next raw line (no '\n'), viewing the buffer until the next call;
+  /// false at end of input. Counts lines.
+  bool nextLine(std::string_view& line);
+  /// Moves the unread tail to the front of the buffer and reads one more
+  /// block after it, growing the buffer when the tail fills it.
+  void refill();
+  /// Next header line; fails with `missing` (naming that line) at end of
+  /// input.
+  std::string_view headerLine(const std::string& missing);
+  bool nextDataLine(std::string_view& line);
+  void parseCsvRecord(std::string_view line, TraceRecord& out);
+  void parseJsonlRecord(std::string_view line, TraceRecord& out);
   void validateRecord(const TraceRecord& record);
 
   std::istream& in_;
   TraceFormat format_;
   std::string source_;
+  std::vector<char> buffer_;
+  std::size_t pos_ = 0;  ///< first unread byte of buffer_
+  std::size_t end_ = 0;  ///< end of the bytes read into buffer_
+  bool eof_ = false;     ///< the stream has no bytes past end_
   std::size_t line_ = 0;
   std::size_t records_ = 0;
   std::size_t dims_ = 1;
@@ -160,7 +184,8 @@ void saveTrace(const Instance& instance, const std::string& path,
 Instance readTraceInstance(std::istream& in, TraceFormat format,
                            const std::string& source = "<trace>");
 
-/// readTraceInstance from a path; format from the extension.
+/// readTraceInstance from a path; format from the extension. Reads the file
+/// twice: a line count first sizes the item vector exactly.
 Instance loadTraceInstance(const std::string& path);
 
 /// One-pass O(1)-memory summary of a trace — enough to build a

@@ -17,6 +17,9 @@
 #include "multidim/md_workload.hpp"
 #include "online/policy_factory.hpp"
 #include "sim/simulator.hpp"
+#include "sim/streaming.hpp"
+#include "telemetry/registry.hpp"
+#include "telemetry/telemetry.hpp"
 #include "workload/adversarial.hpp"
 #include "workload/generators.hpp"
 
@@ -344,6 +347,88 @@ TEST(PlacementDifferential, RandomizedPropertySweep) {
     for (const std::string& policySpec : fast) {
       expectIdentical(inst, policySpec, "sweep seed=" + std::to_string(seed));
     }
+  }
+}
+
+// --- Long churn: tens of thousands of bins open and close while a few
+// dozen are open at once, so every index scope compacts many times
+// (DESIGN.md §9.1). Compaction renumbers slots but keeps opening order,
+// so the engines must still agree placement for placement and probe for
+// probe.
+
+std::uint64_t fitChecks() {
+  return telemetry::Registry::global().counter("sim.fit_checks").value();
+}
+
+// Fit checks one engine issues on `inst`, counted on the stream engine
+// (StreamEngine), which keeps its own index and so compacts on its own.
+std::uint64_t streamFitChecks(const Instance& inst, const std::string& spec,
+                              PlacementEngine engine) {
+  PolicyPtr policy = makePolicy(spec, PolicyContext::forInstance(inst));
+  StreamOptions options;
+  options.engine = engine;
+  options.computeLowerBound = false;
+  InstanceArrivalSource source(inst);
+  std::uint64_t before = fitChecks();
+  simulateStream(source, *policy, options);
+  return fitChecks() - before;
+}
+
+TEST(PlacementDifferential, LongChurnThroughCompactingIndex) {
+  WorkloadSpec spec;
+  spec.numItems = 100000;
+  spec.arrivalRate = 8.0;
+  spec.mu = 8.0;
+  Instance inst = generateWorkload(spec, 2024);
+  for (const std::string& policySpec : allSpecs()) {
+    SCOPED_TRACE("long-churn / " + policySpec);
+    std::uint64_t before = fitChecks();
+    SimResult indexed = runWith(inst, policySpec, PlacementEngine::kIndexed);
+    std::uint64_t indexedChecks = fitChecks() - before;
+    before = fitChecks();
+    SimResult linear = runWith(inst, policySpec, PlacementEngine::kLinearScan);
+    std::uint64_t linearChecks = fitChecks() - before;
+
+    // The workload is the regime the compaction exists for.
+    EXPECT_GE(indexed.binsOpened, 10000u);
+    EXPECT_LE(indexed.maxOpenBins, 64u);
+
+    EXPECT_EQ(indexed.totalUsage, linear.totalUsage);
+    EXPECT_EQ(indexed.binsOpened, linear.binsOpened);
+    EXPECT_EQ(indexed.maxOpenBins, linear.maxOpenBins);
+    EXPECT_EQ(indexed.categoriesUsed, linear.categoriesUsed);
+    for (const Item& r : inst.items()) {
+      ASSERT_EQ(indexed.packing.binOf(r.id), linear.packing.binOf(r.id))
+          << "item " << r.id;
+    }
+    // An indexed query counts once and a linear scan once per probe, so
+    // each engine is pinned against its own stream twin, whose index
+    // compacts at different moments (it also closes the trailing bins).
+    if (telemetry::kEnabled) {
+      EXPECT_EQ(streamFitChecks(inst, policySpec, PlacementEngine::kIndexed),
+                indexedChecks);
+      EXPECT_EQ(streamFitChecks(inst, policySpec, PlacementEngine::kLinearScan),
+                linearChecks);
+    }
+  }
+}
+
+TEST(PlacementDifferential, MultidimLongChurnThroughCompactingIndex) {
+  MdWorkloadSpec spec;
+  spec.numItems = 30000;
+  spec.dims = 3;
+  spec.arrivalRate = 8.0;
+  spec.mu = 8.0;
+  spec.correlation = 0.0;
+  MdInstance inst = generateMdWorkload(spec, 2025);
+  for (const MdPolicyConfig& config : allMdConfigs()) {
+    if (config.label != "md-ff" && config.label != "md-df") continue;
+    SCOPED_TRACE("md-long-churn / " + config.label);
+    MdSimResult indexed =
+        runMdWith(inst, config.config, PlacementEngine::kIndexed);
+    EXPECT_GE(indexed.binsOpened, 3000u);
+    EXPECT_LE(indexed.maxOpenBins, 64u);
+    expectMdIdentical(inst, config, "md-long-churn");
   }
 }
 

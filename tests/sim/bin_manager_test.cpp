@@ -142,5 +142,21 @@ TEST(MdBinManagerDeathTest, ClosedBinRejectsMutation) {
   EXPECT_DEATH(mgr.removeItem(b, d), "is not holding items");
 }
 
+TEST(BinManager, ResidentBytesIncludeTheIndex) {
+  BinManager indexed(true);
+  BinManager linear(false);
+  for (BinManager* mgr : {&indexed, &linear}) {
+    for (int i = 0; i < 100; ++i) {
+      BinId b = mgr->openBin(i % 3, static_cast<Time>(i));
+      mgr->addItem(b, 0.5);
+      if (i % 2 == 0) mgr->removeItem(b, 0.5);
+    }
+  }
+  EXPECT_GT(linear.residentBytes(), 100 * sizeof(BinManager::BinInfo) - 1);
+  EXPECT_GT(indexed.index().residentBytes(), 0u);
+  EXPECT_EQ(indexed.residentBytes(),
+            linear.residentBytes() + indexed.index().residentBytes());
+}
+
 }  // namespace
 }  // namespace cdbp

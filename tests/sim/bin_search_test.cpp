@@ -8,10 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <vector>
 
 #include "core/epsilon.hpp"
 #include "core/types.hpp"
+#include "util/rng.hpp"
 
 namespace cdbp {
 namespace {
@@ -229,6 +232,223 @@ TEST(BinSearchIndex, LevelChangesKeepBestFitSetCurrent) {
   EXPECT_EQ(index.bestFit(0.5), 0);
   index.onLevelChange(0, 0.9);
   EXPECT_EQ(index.bestFit(0.5), 1);
+}
+
+// --- Compaction: slots are positions in opening order, and a scope whose
+// tree is full while at most half open drops its closed slots instead of
+// doubling.
+
+TEST(MinLevelTree, CompactionKeepsOpenSlotsInOrder) {
+  MinLevelTree tree;
+  for (int i = 0; i < 8; ++i) tree.append(0.1 * i);
+  for (std::size_t slot : {0u, 2u, 3u, 5u, 6u}) tree.close(slot);
+  ASSERT_EQ(tree.capacity(), 8u);
+  ASSERT_EQ(tree.openCount(), 3u);
+  EXPECT_TRUE(tree.wantsCompaction());
+
+  std::vector<std::pair<std::size_t, std::size_t>> moves;
+  tree.compact([&](std::size_t from, std::size_t to) {
+    moves.emplace_back(from, to);
+  });
+  const std::vector<std::pair<std::size_t, std::size_t>> want = {
+      {1, 0}, {4, 1}, {7, 2}};
+  EXPECT_EQ(moves, want);
+  EXPECT_EQ(tree.size(), 3u);
+  EXPECT_EQ(tree.openCount(), 3u);
+  EXPECT_EQ(tree.capacity(), 8u);  // bit_ceil(2 * 3)
+  EXPECT_DOUBLE_EQ(tree.levelAt(0), 0.1);
+  EXPECT_DOUBLE_EQ(tree.levelAt(1), 0.4);
+  EXPECT_DOUBLE_EQ(tree.levelAt(2), 0.1 * 7);
+  EXPECT_EQ(tree.firstFit(0.5), 0u);
+  EXPECT_EQ(tree.minSlot(), 0u);
+  tree.update(0, 0.9);
+  EXPECT_EQ(tree.firstFit(0.5), 1u);
+  EXPECT_EQ(tree.minSlot(), 1u);
+  EXPECT_EQ(tree.append(0.0), 3u);
+  EXPECT_EQ(tree.minSlot(), 3u);
+}
+
+TEST(MinLevelTree, CompactionRuleNeedsAFullTreeAtMostHalfOpen) {
+  MinLevelTree tree;
+  for (int i = 0; i < 4; ++i) tree.append(0.5);
+  EXPECT_FALSE(tree.wantsCompaction());  // full, all open: double instead
+  tree.close(0);
+  EXPECT_FALSE(tree.wantsCompaction());  // 3 of 4 open
+  tree.close(1);
+  EXPECT_TRUE(tree.wantsCompaction());  // 2 of 4 open
+  tree.compact([](std::size_t, std::size_t) {});
+  EXPECT_EQ(tree.capacity(), 4u);
+  EXPECT_FALSE(tree.wantsCompaction());  // not full any more
+  tree.close(0);
+  tree.close(1);
+  tree.compact([](std::size_t, std::size_t) {});
+  EXPECT_EQ(tree.size(), 0u);
+  EXPECT_EQ(tree.capacity(), 1u);
+  EXPECT_EQ(tree.firstFit(0.1), MinLevelTree::npos);
+  EXPECT_EQ(tree.minSlot(), MinLevelTree::npos);
+  EXPECT_EQ(tree.append(0.25), 0u);
+  EXPECT_EQ(tree.firstFit(0.1), 0u);
+}
+
+TEST(BinSearchIndex, TiesGoToTheEarliestOpenedBinAcrossACompaction) {
+  BinSearchIndex index;
+  for (BinId id = 0; id < 8; ++id) {
+    index.onOpen(id, 0);
+    index.onLevelChange(id, 0.5);
+  }
+  EXPECT_EQ(index.bestFit(0.5), 0);  // materialize the Best Fit set too
+  ASSERT_EQ(index.slotCapacity(), 8u);
+  for (BinId id = 0; id < 6; ++id) index.onClose(id);
+  // The tree is full with 2 of 8 slots open: opening bin 8 compacts, and
+  // bins 6 and 7 move to slots 0 and 1 ahead of it.
+  index.onOpen(8, 0);
+  index.onLevelChange(8, 0.5);
+  EXPECT_EQ(index.slotCapacity(), 4u);
+  EXPECT_EQ(index.slotCapacityIn(0), 4u);
+  EXPECT_EQ(index.firstFit(0.5), 6);
+  EXPECT_EQ(index.bestFit(0.5), 6);
+  EXPECT_EQ(index.worstFit(0.5), 6);
+  EXPECT_EQ(index.firstFitIn(0, 0.5), 6);
+  EXPECT_EQ(index.worstFitIn(0, 0.5), 6);
+  index.onLevelChange(6, 0.75);
+  EXPECT_EQ(index.firstFit(0.5), 7);
+  EXPECT_EQ(index.worstFit(0.5), 7);
+  EXPECT_EQ(index.bestFit(0.25), 6);
+  index.onClose(7);
+  EXPECT_EQ(index.firstFit(0.5), 8);
+  EXPECT_EQ(index.worstFitIn(0, 0.1), 8);
+}
+
+TEST(BinSearchIndex, SecondCategoryGivesTheFirstItsOwnScope) {
+  // While every bin has category 5, category-5 queries read the global
+  // scope. The first bin of category 6 gives category 5 its own scope,
+  // which must hold the same open bins, in the same order, at the same
+  // levels, and follow later changes.
+  BinSearchIndex index;
+  const Size levels[] = {0.5, 0.6, 0.7, 0.5, 0.6, 0.7};
+  for (BinId id = 0; id < 6; ++id) {
+    index.onOpen(id, 5);
+    index.onLevelChange(id, levels[id]);
+  }
+  EXPECT_EQ(index.bestFitIn(5, 0.3), 2);  // materializes the Best Fit set
+  EXPECT_EQ(index.slotCapacityIn(5), index.slotCapacity());
+  EXPECT_EQ(index.slotCapacityIn(6), 0u);
+  index.onClose(0);
+  index.onClose(2);
+  index.onOpen(6, 6);
+  index.onLevelChange(6, 0.2);
+  EXPECT_EQ(index.firstFitIn(5, 0.45), 3);
+  EXPECT_EQ(index.bestFitIn(5, 0.3), 5);
+  EXPECT_EQ(index.worstFitIn(5, 0.3), 3);
+  EXPECT_EQ(index.firstFitIn(6, 0.5), 6);
+  EXPECT_EQ(index.firstFit(0.45), 3);
+  EXPECT_EQ(index.worstFit(0.1), 6);
+  index.onLevelChange(3, 0.9);
+  EXPECT_EQ(index.firstFitIn(5, 0.45), kNewBin);
+  EXPECT_EQ(index.bestFitIn(5, 0.3), 5);
+  EXPECT_EQ(index.worstFitIn(5, 0.3), 1);  // 1 and 4 tie at 0.6
+  for (BinId id : {1, 3, 4, 5}) index.onClose(id);
+  EXPECT_EQ(index.slotCapacityIn(5), 0u);
+  EXPECT_EQ(index.firstFitIn(5, 0.1), kNewBin);
+  EXPECT_EQ(index.firstFitIn(6, 0.1), 6);
+  EXPECT_GT(index.slotCapacityIn(6), 0u);
+}
+
+// Linear reference over the open bins in opening order: the definitions
+// the policies' scans implement (ties to the earliest-opened bin).
+struct OpenBin {
+  BinId id;
+  int category;
+  Size level;
+};
+
+BinId linearFirst(const std::vector<OpenBin>& open, int category, Size d) {
+  for (const OpenBin& b : open) {
+    if ((category < 0 || b.category == category) && fitsCapacity(b.level, d)) {
+      return b.id;
+    }
+  }
+  return kNewBin;
+}
+
+BinId linearBest(const std::vector<OpenBin>& open, int category, Size d) {
+  BinId best = kNewBin;
+  Size bestLevel = -1;
+  for (const OpenBin& b : open) {
+    if ((category < 0 || b.category == category) &&
+        fitsCapacity(b.level, d) && b.level > bestLevel) {
+      bestLevel = b.level;
+      best = b.id;
+    }
+  }
+  return best;
+}
+
+BinId linearWorst(const std::vector<OpenBin>& open, int category, Size d) {
+  BinId best = kNewBin;
+  Size bestLevel = 2;
+  for (const OpenBin& b : open) {
+    if ((category < 0 || b.category == category) &&
+        fitsCapacity(b.level, d) && b.level < bestLevel) {
+      bestLevel = b.level;
+      best = b.id;
+    }
+  }
+  return best;
+}
+
+TEST(BinSearchIndex, ChurnKeepsEveryScopeSizedByItsPeakOpenCount) {
+  // Thousands of bins open and close while only a few dozen are open at
+  // once. Every answer must match the linear reference, and every scope's
+  // tree must stay within 4 * (its peak open count) + 1 leaf slots.
+  constexpr int kCategories = 3;
+  Rng rng(17);
+  BinSearchIndex index;
+  std::vector<OpenBin> open;
+  std::map<int, std::size_t> peakIn;
+  std::size_t peak = 0;
+  BinId next = 0;
+  for (int step = 0; step < 40000; ++step) {
+    const bool openOne =
+        open.empty() || (open.size() < 40 && rng.chance(0.5)) ||
+        (open.size() < 10 && rng.chance(0.8));
+    if (openOne) {
+      int category = static_cast<int>(rng.uniformInt(0, kCategories - 1));
+      index.onOpen(next, category);
+      open.push_back({next, category, 0.0});
+      ++next;
+    } else {
+      auto it = open.begin() +
+                static_cast<std::ptrdiff_t>(rng.uniformInt(0, open.size() - 1));
+      if (rng.chance(0.5)) {
+        index.onClose(it->id);
+        open.erase(it);
+      } else {
+        it->level = 0.05 * static_cast<double>(rng.uniformInt(0, 19));
+        index.onLevelChange(it->id, it->level);
+      }
+    }
+    peak = std::max(peak, open.size());
+    for (int c = 0; c < kCategories; ++c) {
+      std::size_t inCategory = static_cast<std::size_t>(std::count_if(
+          open.begin(), open.end(),
+          [c](const OpenBin& b) { return b.category == c; }));
+      peakIn[c] = std::max(peakIn[c], inCategory);
+      ASSERT_LE(index.slotCapacityIn(c), 4 * peakIn[c] + 1) << "step " << step;
+    }
+    ASSERT_LE(index.slotCapacity(), 4 * peak + 1) << "step " << step;
+
+    Size demand = 0.05 * static_cast<double>(rng.uniformInt(1, 20));
+    ASSERT_EQ(index.firstFit(demand), linearFirst(open, -1, demand));
+    ASSERT_EQ(index.bestFit(demand), linearBest(open, -1, demand));
+    ASSERT_EQ(index.worstFit(demand), linearWorst(open, -1, demand));
+    int c = static_cast<int>(rng.uniformInt(0, kCategories - 1));
+    ASSERT_EQ(index.firstFitIn(c, demand), linearFirst(open, c, demand));
+    ASSERT_EQ(index.bestFitIn(c, demand), linearBest(open, c, demand));
+    ASSERT_EQ(index.worstFitIn(c, demand), linearWorst(open, c, demand));
+  }
+  // The run opened far more bins than the trees hold.
+  EXPECT_GT(static_cast<std::size_t>(next), 20 * (4 * peak + 1));
 }
 
 }  // namespace

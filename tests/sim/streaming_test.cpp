@@ -204,6 +204,25 @@ TEST(SimulateStream, BoundedMemoryOnLongStream) {
   EXPECT_GT(result.peakResidentBytes, 0u);
 }
 
+TEST(SimulateStream, PeakResidentBytesCountThePlacementIndex) {
+  // Same placements, same bin table; only the indexed engine holds the
+  // placement index, and the resident figure must show it.
+  WorkloadSpec spec;
+  spec.numItems = 5000;
+  Instance inst = generateWorkload(spec, 5);
+  std::size_t peak[2] = {0, 0};
+  int k = 0;
+  for (PlacementEngine engine :
+       {PlacementEngine::kIndexed, PlacementEngine::kLinearScan}) {
+    InstanceArrivalSource source(inst);
+    PolicyPtr policy = makePolicy("ff");
+    StreamOptions options;
+    options.engine = engine;
+    peak[k++] = simulateStream(source, *policy, options).peakResidentBytes;
+  }
+  EXPECT_GT(peak[0], peak[1]);
+}
+
 TEST(SimulateStream, ChromeTraceArtifact) {
   WorkloadSpec spec;
   spec.numItems = 30;

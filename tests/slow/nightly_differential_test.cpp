@@ -9,6 +9,7 @@
 // it in the nightly-differential job under asan-ubsan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <sstream>
 #include <string>
@@ -155,8 +156,25 @@ TEST(NightlyDifferential, MillionItemTraceStreamsBounded) {
   PolicyContext context = PolicyContext::forInstance(inst);
   PolicyPtr policy = makePolicy("ff", context);
   TraceArrivalSource source(path.string());
-  StreamResult result = simulateStream(source, *policy);
+  // Pushed item by item so the placement index can be watched: its slot
+  // capacity must follow the open bins (at most 4 * peak + 1 leaves, the
+  // compaction bound), never the bins ever opened.
+  StreamEngine engine(*policy, StreamOptions{});
+  std::size_t peakOpenBins = 0;
+  std::size_t peakSlotCapacity = 0;
+  StreamItem incoming;
+  while (source.next(incoming)) {
+    engine.place(incoming);
+    peakOpenBins = std::max(peakOpenBins, engine.openBins());
+    peakSlotCapacity = std::max(peakSlotCapacity, engine.indexSlotCapacity());
+  }
+  StreamResult result = engine.finish();
   fs::remove(path);
+  EXPECT_LE(peakSlotCapacity, 4 * peakOpenBins + 1)
+      << "index slots " << peakSlotCapacity << ", peak open bins "
+      << peakOpenBins << ", bins opened " << result.binsOpened;
+  EXPECT_GT(result.binsOpened, 4 * (4 * peakOpenBins + 1))
+      << "the trace must open far more bins than are ever open at once";
 
   ASSERT_EQ(result.items, 1000000u);
   EXPECT_LT(result.peakOpenItems * 100, result.items)

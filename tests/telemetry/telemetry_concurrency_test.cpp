@@ -7,8 +7,11 @@
 #include <thread>
 #include <vector>
 
+#include "online/policy_factory.hpp"
+#include "sim/streaming.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/telemetry.hpp"
+#include "workload/generators.hpp"
 
 namespace cdbp::telemetry {
 namespace {
@@ -128,6 +131,46 @@ TEST(TelemetryConcurrency, SiteMacrosFromManyThreads) {
               kThreads * kIters);
   } else {
     EXPECT_EQ(after.counter("test.concurrency.macro"), 0u);
+  }
+}
+
+TEST(TelemetryConcurrency, ConcurrentStreamsRecordTheirOwnProbes) {
+  // Two engines placing at the same time must each record exactly their
+  // own placements' probe counts: one sim.bins_scanned_per_placement sample
+  // per placement, and the samples add up to the fit checks both runs
+  // issued. The linear engine probes many bins per placement, so a probe
+  // attributed to the wrong placement would show in either figure.
+  constexpr std::size_t kItems = 20000;
+  Histogram& scanned =
+      Registry::global().histogram("sim.bins_scanned_per_placement");
+  Counter& fitChecks = Registry::global().counter("sim.fit_checks");
+  const std::uint64_t countBefore = scanned.count();
+  const std::uint64_t sumBefore = scanned.sum();
+  const std::uint64_t checksBefore = fitChecks.value();
+
+  std::vector<std::thread> threads;
+  for (std::uint64_t seed : {1u, 2u}) {
+    threads.emplace_back([seed] {
+      WorkloadSpec spec;
+      spec.numItems = kItems;
+      spec.mu = 8.0;
+      Instance inst = generateWorkload(spec, seed);
+      PolicyPtr policy = makePolicy("ff", PolicyContext::forInstance(inst));
+      StreamOptions options;
+      options.engine = PlacementEngine::kLinearScan;
+      StreamEngine engine(*policy, options);
+      for (const Item& r : inst.sortedByArrival()) {
+        engine.place({r.size, r.arrival(), r.departure()});
+      }
+      engine.finish();
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  if constexpr (kEnabled) {
+    EXPECT_EQ(scanned.count() - countBefore, 2 * kItems);
+    EXPECT_EQ(scanned.sum() - sumBefore, fitChecks.value() - checksBefore);
+    EXPECT_GT(fitChecks.value() - checksBefore, 2 * kItems);
   }
 }
 
