@@ -1,15 +1,19 @@
-// Streaming trace replay: pull a cdbp-trace file through the
-// bounded-memory simulator (sim/streaming.hpp) without ever holding the
-// whole workload in RAM. The counterpart of trace_replay for traces larger
-// than memory — and a demonstration that the stream reproduces the batch
+// Trace replay: pull a cdbp-trace file through the bounded-memory stream
+// engine (sim/streaming.hpp) without ever holding the whole workload in
+// RAM — and a demonstration that the stream reproduces the batch
 // simulator's numbers exactly (DESIGN.md §11).
 //
 // With no --trace flag the example exports a demo trace first, so it runs
 // out of the box:
 //
 //   ./stream_replay                                   # demo trace, First Fit
-//   ./stream_replay --trace big.jsonl --policy cdt
+//   ./stream_replay --trace big.jsonl --policy cdt --decisions d.csv
 //   ./stream_replay --trace big.jsonl --engine linear --chrome-trace t.json
+//
+// --decisions writes one CSV row per placement as it is made (the
+// DecisionTrace::writeCsv columns), so the replay stays bounded-memory;
+// its item,bin columns are the packing. The timeline's open_bins counter
+// series is the open-server profile.
 //
 // With --connect the same replay becomes a load generator for the
 // cdbp_served daemon (DESIGN.md §13): every item travels as a PLACE frame
@@ -22,19 +26,22 @@
 //
 // Flags: --trace <path> (.csv or .jsonl), --policy <spec> (any makePolicy
 //        spec; default ff), --engine indexed|linear, --no-lb (skip the
-//        incremental lower bound), --chrome-trace <path>,
-//        --connect unix:<path>|tcp:<host>:<port>, --tenant <name>.
+//        incremental lower bound), --decisions <path>,
+//        --chrome-trace <path>, --connect unix:<path>|tcp:<host>:<port>,
+//        --tenant <name>.
 //
 // Clairvoyant specs (cdt, cd, ...) need the workload's minimum duration
 // and duration ratio mu; a one-pass scanTrace pre-pass supplies them, so
 // even the policy context is derived without materializing the trace.
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "online/policy_factory.hpp"
 #include "serve/client.hpp"
 #include "sim/streaming.hpp"
+#include "sim/trace.hpp"
 #include "telemetry/chrome_trace.hpp"
 #include "telemetry/clock.hpp"
 #include "util/flags.hpp"
@@ -107,8 +114,8 @@ int replayOverSocket(const std::string& connectSpec,
 int main(int argc, char** argv) {
   using namespace cdbp;
   Flags flags = Flags::strictOrDie(
-      argc, argv, {"trace", "policy", "engine", "no-lb", "chrome-trace",
-                   "connect", "tenant"});
+      argc, argv, {"trace", "policy", "engine", "no-lb", "decisions",
+                   "chrome-trace", "connect", "tenant"});
 
   std::string tracePath = flags.getString("trace", "");
   try {
@@ -161,8 +168,26 @@ int main(int argc, char** argv) {
     std::string chromeTracePath = flags.getString("chrome-trace", "");
     if (!chromeTracePath.empty()) options.chromeTrace = &chromeTrace;
 
+    std::ofstream decisions;
+    std::string decisionsPath = flags.getString("decisions", "");
+    if (!decisionsPath.empty()) {
+      decisions.open(decisionsPath);
+      if (!decisions) throw std::runtime_error("cannot write " + decisionsPath);
+      DecisionTrace::writeCsvHeader(decisions);
+    }
+
     TraceArrivalSource source(tracePath);
-    StreamResult result = simulateStream(source, *policy, options);
+    StreamEngine replay(*policy, options);
+    std::size_t newBins = 0;
+    double openBinsSeen = 0;
+    StreamItem item;
+    while (source.next(item)) {
+      const StreamEngine::Placement placed = replay.place(item);
+      if (placed.openedNewBin) ++newBins;
+      openBinsSeen += static_cast<double>(placed.openBins);
+      if (decisions.is_open()) DecisionTrace::writeCsvRow(decisions, placed);
+    }
+    StreamResult result = replay.finish();
 
     std::cout << "trace: " << result.items << " jobs from " << tracePath
               << " (mu " << stats.mu << ", demand " << stats.demand << ")\n";
@@ -178,6 +203,16 @@ int main(int argc, char** argv) {
     std::cout << "memory: peak " << result.peakOpenItems
               << " open items of " << result.items << " total, ~"
               << result.peakResidentBytes / 1024 << " KiB simulator state\n";
+    if (result.items > 0) {
+      const double items = static_cast<double>(result.items);
+      std::cout << "decisions: new-bin rate "
+                << static_cast<double>(newBins) / items
+                << ", mean open bins at decision " << openBinsSeen / items
+                << '\n';
+    }
+    if (decisions.is_open()) {
+      std::cout << "decision trace written to " << decisionsPath << '\n';
+    }
 
     if (!chromeTracePath.empty()) {
       std::ofstream out(chromeTracePath);

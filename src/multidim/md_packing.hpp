@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/interval.hpp"
-#include "core/step_function.hpp"
 #include "multidim/md_instance.hpp"
 
 namespace cdbp {
@@ -32,15 +31,17 @@ class MdPacking {
   std::size_t openBinsAt(Time t) const;
 
   /// Error description if infeasible (any dimension of any bin exceeds the
-  /// unit capacity somewhere), or nullopt when valid.
+  /// unit capacity somewhere), or nullopt when valid. Like
+  /// Packing::validate(), each bin's per-dimension level profile is swept
+  /// from its items on demand (StepFunction::sumOf); intervals are
+  /// half-open, so items that only touch never add up.
   std::optional<std::string> validate() const;
 
  private:
   const MdInstance* instance_ = nullptr;
   std::vector<BinId> binOf_;
   std::size_t numBins_ = 0;
-  std::vector<IntervalSet> busy_;                 // per bin
-  std::vector<std::vector<StepFunction>> level_;  // per bin, per dimension
+  std::vector<IntervalSet> busy_;  // per bin
 };
 
 }  // namespace cdbp

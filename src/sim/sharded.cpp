@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -14,9 +13,7 @@
 #include <unordered_map>
 #include <utility>
 
-#include "core/epsilon.hpp"
 #include "sim/bin_manager.hpp"
-#include "sim/placement_view.hpp"
 #include "sim/stream_internals.hpp"
 #include "sim/streaming.hpp"
 #include "telemetry/telemetry.hpp"
@@ -29,9 +26,12 @@ namespace cdbp {
 
 namespace {
 
+using stream_internal::announceItem;
+using stream_internal::commitPlacement;
 using stream_internal::IncrementalLb3;
 using stream_internal::laterDeparture;
 using stream_internal::PendingDeparture;
+using stream_internal::validateItem;
 
 // Workers are per-shard FIFO loops, so more shards than this only adds
 // queue bookkeeping; a backstop against absurd --threads values.
@@ -235,15 +235,8 @@ struct ShardedSimulator::Impl {
     validate(item);
     rethrowIfFailed();
 
-    Item announced = item;
-    if (options.announce) {
-      announced = options.announce(item);
-      if (announced.id != item.id || announced.size != item.size ||
-          announced.arrival() != item.arrival()) {
-        throw std::logic_error(
-            "ShardedOptions::announce may only perturb the departure time");
-      }
-    }
+    const Item announced =
+        announceItem(options.announce, item, "ShardedOptions");
     if (!modeDecided) decideMode(announced);
 
     std::uint32_t shard = shardOf(announced);
@@ -271,22 +264,8 @@ struct ShardedSimulator::Impl {
   }
 
   void validate(const Item& item) {
-    if (!std::isfinite(item.arrival()) || !std::isfinite(item.departure())) {
-      throw std::invalid_argument("simulateSharded: item " +
-                                  std::to_string(item.id) +
-                                  " has a non-finite time");
-    }
-    if (!(item.departure() > item.arrival())) {
-      throw std::invalid_argument("simulateSharded: item " +
-                                  std::to_string(item.id) +
-                                  " departs at or before its arrival");
-    }
-    if (!std::isfinite(item.size) || !(item.size > 0) ||
-        lt(kBinCapacity, item.size)) {
-      throw std::invalid_argument("simulateSharded: item " +
-                                  std::to_string(item.id) +
-                                  " has size outside (0, 1]");
-    }
+    validateItem("simulateSharded", item.id, item.size, item.arrival(),
+                 item.departure());
     if (sawItem && (item.arrival() < lastArrival ||
                     (item.arrival() == lastArrival && item.id <= lastId))) {
       throw std::invalid_argument(
@@ -412,11 +391,10 @@ struct ShardedSimulator::Impl {
   }
 
   // The StreamEngine::place loop restricted to one key group: identical
-  // drain order, identical validation, identical counted policy queries —
-  // the per-item bit-identity argument lives here (DESIGN.md §14). The
-  // per-placement scan histogram is skipped: with concurrent shards the
-  // global fit-check counter cannot be attributed to one placement (the
-  // run_many caveat); the aggregate counter stays exact.
+  // drain order and the same commit kernel, hence identical validation and
+  // counted policy queries (DESIGN.md §14). The per-placement scan
+  // histogram is not recorded here: it would add contended atomics per
+  // placement on every worker, a cost not yet measured.
   void processSlice(Shard& shard, const Slice& slice) {
     const bool capture = options.capturePlacements;
     for (std::size_t i = 0; i < slice.count; ++i) {
@@ -428,37 +406,18 @@ struct ShardedSimulator::Impl {
 
       const Item announced(slice.ids[i], slice.sizes[i], arrival,
                            slice.announcedDepartures[i]);
-      PlacementView view(shard.bins, arrival);
-      PlacementDecision decision = shard.policy->place(view, announced);
-      BinId target = decision.bin;
-      if (target == kNewBin) {
-        target = shard.bins.openBin(decision.category, arrival);
+      const PlacementRecord placed =
+          commitPlacement(shard.bins, *shard.policy, announced).record;
+      const BinId target = placed.bin;
+      if (placed.openedNewBin) {
         shard.usageByBin.push_back(0);
         shard.opens.push_back({arrival, slice.ids[i]});
-        CDBP_TELEM_COUNT("sim.placements_new_bin", 1);
-      } else {
-        CDBP_TELEM_COUNT("sim.placements_existing_bin", 1);
-        if (!shard.bins.info(target).open) {
-          throw std::logic_error(shard.policy->name() + " placed item " +
-                                 std::to_string(slice.ids[i]) +
-                                 " in closed bin " + std::to_string(target));
-        }
-        // Validation re-check: wouldFit is the uncounted twin of fits(),
-        // so sim.fit_checks stays comparable with the other engines.
-        if (!shard.bins.wouldFit(target, slice.sizes[i])) {
-          throw std::logic_error(shard.policy->name() + " overfilled bin " +
-                                 std::to_string(target) + " with item " +
-                                 std::to_string(slice.ids[i]));
-        }
       }
-      shard.bins.addItem(target, slice.sizes[i]);
       shard.pending.push_back(
           {slice.departures[i], slice.ids[i], target, slice.sizes[i]});
       std::push_heap(shard.pending.begin(), shard.pending.end(),
                      laterDeparture);
       if (capture) shard.placements.emplace_back(slice.ids[i], target);
-      CDBP_TELEM_COUNT("sim.events_processed", 1);
-      CDBP_TELEM_HIST("sim.item_size_permille", slice.sizes[i] * 1000.0);
     }
   }
 

@@ -13,7 +13,6 @@
 #include "core/packing.hpp"
 #include "online/policy.hpp"
 #include "sim/trace.hpp"
-#include "telemetry/chrome_trace.hpp"
 
 namespace cdbp {
 
@@ -35,23 +34,13 @@ struct SimOptions {
   std::function<Item(const Item&)> announce;
 
   /// When set, every placement decision is appended here (see trace.hpp).
+  /// Timelines (chrome://tracing) come from StreamOptions::chromeTrace.
   DecisionTrace* trace = nullptr;
-
-  /// When set, the run is recorded as a chrome://tracing timeline: one
-  /// complete event per item on its bin's row plus an open-bin counter
-  /// series (DESIGN.md §8.2). Always available, independent of the
-  /// CDBP_TELEMETRY toggle — this is an explicitly requested artifact, not
-  /// ambient instrumentation.
-  telemetry::ChromeTrace* chromeTrace = nullptr;
-
-  /// Simulated-time-unit -> trace-microsecond scale (trace timestamps are
-  /// microseconds; the default renders 1 time unit as 1 second).
-  double traceTimeScale = 1e6;
 
   /// Worker threads for engine == kSharded (0 picks the hardware
   /// concurrency); ignored by the other engines. The sharded engine
-  /// rejects `trace` and `chromeTrace`: per-decision artifacts are a
-  /// single-timeline notion, use kIndexed for those runs.
+  /// rejects `trace`: per-decision artifacts are a single-timeline
+  /// notion, use kIndexed for those runs.
   std::size_t shardedThreads = 0;
 };
 

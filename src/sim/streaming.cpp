@@ -6,8 +6,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "core/epsilon.hpp"
-#include "sim/placement_view.hpp"
 #include "sim/sharded.hpp"
 #include "sim/stream_internals.hpp"
 #include "telemetry/telemetry.hpp"
@@ -16,13 +14,17 @@ namespace cdbp {
 
 namespace {
 
-// Shared with the sharded engine (stream_internals.hpp): the (time, id)
-// departure heap ordering and the incremental Proposition 3 accumulator
-// must be the *same code* in both engines for their doubles to stay
-// bitwise identical.
+// Shared with the other engines (stream_internals.hpp): the commit kernel,
+// the item checks, the (time, id) departure heap ordering and the
+// incremental Proposition 3 accumulator must be the *same code* in every
+// engine for their placements and doubles to stay bitwise identical.
+using stream_internal::announceItem;
+using stream_internal::commitPlacement;
+using stream_internal::Committed;
 using stream_internal::IncrementalLb3;
 using stream_internal::laterDeparture;
 using stream_internal::PendingDeparture;
+using stream_internal::validateItem;
 
 constexpr int kTracePid = 1;
 
@@ -121,22 +123,8 @@ struct StreamEngine::Impl {
     }
     // Model validation, mirroring Instance's constructor: a streaming
     // source bypasses that gate, so the same invariants are enforced here.
-    if (!std::isfinite(incoming.arrival) || !std::isfinite(incoming.departure)) {
-      throw std::invalid_argument("simulateStream: item " +
-                                  std::to_string(nextId) +
-                                  " has a non-finite time");
-    }
-    if (!(incoming.departure > incoming.arrival)) {
-      throw std::invalid_argument("simulateStream: item " +
-                                  std::to_string(nextId) +
-                                  " departs at or before its arrival");
-    }
-    if (!std::isfinite(incoming.size) || !(incoming.size > 0) ||
-        lt(kBinCapacity, incoming.size)) {
-      throw std::invalid_argument("simulateStream: item " +
-                                  std::to_string(nextId) +
-                                  " has size outside (0, 1]");
-    }
+    validateItem("simulateStream", nextId, incoming.size, incoming.arrival,
+                 incoming.departure);
     if (sawEvent && incoming.arrival < lastArrival) {
       throw std::invalid_argument(
           "simulateStream: ArrivalSource must yield nondecreasing arrivals "
@@ -157,54 +145,24 @@ struct StreamEngine::Impl {
       popDeparture();
     }
 
-    Item announced = r;
-    if (options.announce) {
-      announced = options.announce(r);
-      if (announced.id != r.id || announced.size != r.size ||
-          announced.arrival() != r.arrival()) {
-        throw std::logic_error(
-            "StreamOptions::announce may only perturb the departure time");
-      }
-    }
+    const Item announced = announceItem(options.announce, r, "StreamOptions");
 
     if (options.computeLowerBound) lb3.onEvent(r.arrival(), r.size);
 
-    PlacementView view(bins, r.arrival());
-    PlacementDecision decision = policy.place(view, announced);
+    const Committed placed = commitPlacement(bins, policy, announced);
     // Scan cost of this placement: the probes its view counted.
-    CDBP_TELEM_HIST("sim.bins_scanned_per_placement", view.probes());
-    BinId target = decision.bin;
-    if (target == kNewBin) {
-      target = bins.openBin(decision.category, r.arrival());
-      usageByBin.push_back(0);  // slot == id: one push per openBin
-      CDBP_TELEM_COUNT("sim.placements_new_bin", 1);
-    } else {
-      CDBP_TELEM_COUNT("sim.placements_existing_bin", 1);
-      if (!bins.info(target).open) {
-        throw std::logic_error(policy.name() + " placed item " +
-                               std::to_string(r.id) + " in closed bin " +
-                               std::to_string(target));
-      }
-      // Validation re-check: wouldFit is the uncounted twin of fits(), so
-      // sim.fit_checks stays comparable with the batch simulator's.
-      if (!bins.wouldFit(target, r.size)) {
-        throw std::logic_error(policy.name() + " overfilled bin " +
-                               std::to_string(target) + " with item " +
-                               std::to_string(r.id));
-      }
-    }
-    bins.addItem(target, r.size);
+    CDBP_TELEM_HIST("sim.bins_scanned_per_placement", placed.probes);
+    const BinId target = placed.record.bin;
+    if (placed.record.openedNewBin) usageByBin.push_back(0);  // slot == id
     pending.push_back({r.departure(), r.id, target, r.size});
     std::push_heap(pending.begin(), pending.end(), laterDeparture);
     result.peakOpenItems = std::max(result.peakOpenItems, pending.size());
     CDBP_TELEM_GAUGE_SET("stream.open_items", pending.size());
     result.maxOpenBins = std::max(result.maxOpenBins, bins.openCount());
-    CDBP_TELEM_COUNT("sim.events_processed", 1);
-    CDBP_TELEM_HIST("sim.item_size_permille", r.size * 1000.0);
 
     if (options.onPlacement) {
-      options.onPlacement(r.id, target, decision.bin == kNewBin,
-                          bins.info(target).category);
+      options.onPlacement(r.id, target, placed.record.openedNewBin,
+                          placed.record.category);
     }
     if (options.chromeTrace) {
       std::ostringstream name;
@@ -214,7 +172,7 @@ struct StreamEngine::Impl {
           r.duration() * options.traceTimeScale, kTracePid,
           static_cast<int>(target),
           {{"size", r.size},
-           {"category", static_cast<double>(bins.info(target).category)},
+           {"category", static_cast<double>(placed.record.category)},
            {"bin_level_after", bins.info(target).level}});
       options.chromeTrace->addCounter("open_bins",
                                       r.arrival() * options.traceTimeScale,
@@ -222,8 +180,7 @@ struct StreamEngine::Impl {
                                       static_cast<double>(bins.openCount()));
     }
     noteResident();
-    return Placement{r.id, target, decision.bin == kNewBin,
-                     bins.info(target).category};
+    return placed.record;
   }
 
   std::size_t drainUntil(Time time) {

@@ -29,6 +29,7 @@
 #include "core/instance.hpp"
 #include "core/types.hpp"
 #include "online/policy.hpp"
+#include "sim/trace.hpp"
 #include "telemetry/chrome_trace.hpp"
 
 namespace cdbp {
@@ -92,9 +93,15 @@ struct StreamOptions {
   /// disable to shave the accumulator work off pure throughput runs.
   bool computeLowerBound = true;
 
-  /// Timeline artifact, as in SimOptions (always available, independent of
-  /// the CDBP_TELEMETRY toggle).
+  /// When set, the run is recorded as a chrome://tracing timeline: one
+  /// complete event per item on its bin's row plus an open-bin counter
+  /// series (DESIGN.md §8.2). The only timeline emitter of the engines;
+  /// always available, independent of the CDBP_TELEMETRY toggle — an
+  /// explicitly requested artifact, not ambient instrumentation.
   telemetry::ChromeTrace* chromeTrace = nullptr;
+
+  /// Simulated-time-unit -> trace-microsecond scale (trace timestamps are
+  /// microseconds; the default renders 1 time unit as 1 second).
   double traceTimeScale = 1e6;
 
   /// Worker threads for engine == kSharded (0 picks the hardware
@@ -148,13 +155,9 @@ struct StreamResult {
 /// each tenant session its own engine and serializes on the event loop).
 class StreamEngine {
  public:
-  /// One committed placement, as StreamOptions::onPlacement reports it.
-  struct Placement {
-    ItemId item = 0;
-    BinId bin = 0;
-    bool openedNewBin = false;
-    int category = 0;
-  };
+  /// One committed placement: the record the commit kernel returns, the
+  /// same one SimOptions::trace collects from the batch simulator.
+  using Placement = PlacementRecord;
 
   /// `policy` must outlive the engine; it is reset() here.
   explicit StreamEngine(OnlinePolicy& policy, const StreamOptions& options = {});

@@ -23,13 +23,19 @@ double DecisionTrace::meanOpenBins() const {
 }
 
 void DecisionTrace::writeCsv(std::ostream& out) const {
+  writeCsvHeader(out);
+  for (const PlacementRecord& r : records_) writeCsvRow(out, r);
+}
+
+void DecisionTrace::writeCsvHeader(std::ostream& out) {
   out << "item,time,bin,new,category,openBins,levelBefore\n";
   out.precision(17);
-  for (const PlacementRecord& r : records_) {
-    out << r.item << ',' << r.time << ',' << r.bin << ','
-        << (r.openedNewBin ? 1 : 0) << ',' << r.category << ',' << r.openBins
-        << ',' << r.binLevelBefore << '\n';
-  }
+}
+
+void DecisionTrace::writeCsvRow(std::ostream& out, const PlacementRecord& r) {
+  out << r.item << ',' << r.time << ',' << r.bin << ','
+      << (r.openedNewBin ? 1 : 0) << ',' << r.category << ',' << r.openBins
+      << ',' << r.binLevelBefore << '\n';
 }
 
 }  // namespace cdbp

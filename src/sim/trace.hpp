@@ -38,6 +38,12 @@ class DecisionTrace {
   /// CSV export: item,time,bin,new,category,openBins,levelBefore.
   void writeCsv(std::ostream& out) const;
 
+  /// The pieces of writeCsv, for callers that stream records as they come
+  /// instead of collecting them: the header row (it also sets the stream's
+  /// precision to round-trip doubles), then one row per record.
+  static void writeCsvHeader(std::ostream& out);
+  static void writeCsvRow(std::ostream& out, const PlacementRecord& r);
+
   void clear() { records_.clear(); }
 
  private:

@@ -7,7 +7,7 @@
 // resulting file in chrome://tracing or https://ui.perfetto.dev.
 //
 // Timestamps are microseconds. Simulated time is dimensionless, so callers
-// scale it (SimOptions::traceTimeScale, default 1 time unit -> 1s) before
+// scale it (StreamOptions::traceTimeScale, default 1 time unit -> 1s) before
 // recording.
 #pragma once
 

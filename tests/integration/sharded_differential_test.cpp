@@ -328,13 +328,6 @@ TEST(ShardedEngine, RejectsTraceArtifacts) {
   EXPECT_THROW(simulateOnline(inst, *policy, withTrace),
                std::invalid_argument);
 
-  SimOptions withChrome;
-  withChrome.engine = PlacementEngine::kSharded;
-  telemetry::ChromeTrace chrome;
-  withChrome.chromeTrace = &chrome;
-  EXPECT_THROW(simulateOnline(inst, *policy, withChrome),
-               std::invalid_argument);
-
   StreamOptions withCallback;
   withCallback.engine = PlacementEngine::kSharded;
   withCallback.onPlacement = [](ItemId, BinId, bool, int) {};

@@ -11,6 +11,8 @@
 // contract is stated for arrival-ordered, densely numbered inputs.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -18,6 +20,7 @@
 #include "online/policy_factory.hpp"
 #include "sim/simulator.hpp"
 #include "sim/streaming.hpp"
+#include "sim/trace.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/telemetry.hpp"
 #include "workload/adversarial.hpp"
@@ -198,6 +201,67 @@ TEST(StreamingDifferential, TraceFileRoundTripPreservesEquivalence) {
   spec.mu = 8.0;
   Instance inst = generateWorkload(spec, 5);
   expectStreamEquivalence(inst, "small-sizes", true);
+}
+
+// The records StreamEngine::place() returns are the batch simulator's
+// DecisionTrace records, field for field: both come from the one commit
+// kernel. openBins and binLevelBefore were never produced by the stream
+// engine before, so this is their only pin; doubles compare bitwise.
+void expectStreamRecordsMatchBatchTrace(const Instance& inst,
+                                        const std::string& label) {
+  Instance canonical(inst.sortedByArrival());
+  PolicyContext context = PolicyContext::forInstance(canonical);
+  for (PlacementEngine engine :
+       {PlacementEngine::kIndexed, PlacementEngine::kLinearScan}) {
+    for (const std::string& spec : allSpecs()) {
+      SCOPED_TRACE(label + " / " + spec + " / " +
+                   (engine == PlacementEngine::kIndexed ? "indexed"
+                                                        : "linear"));
+      DecisionTrace trace;
+      SimOptions batchOptions;
+      batchOptions.engine = engine;
+      batchOptions.trace = &trace;
+      PolicyPtr batchPolicy = makePolicy(spec, context);
+      simulateOnline(canonical, *batchPolicy, batchOptions);
+      ASSERT_EQ(trace.size(), canonical.size());
+
+      StreamOptions streamOptions;
+      streamOptions.engine = engine;
+      PolicyPtr streamPolicy = makePolicy(spec, context);
+      StreamEngine stream(*streamPolicy, streamOptions);
+      for (std::size_t i = 0; i < canonical.size(); ++i) {
+        const Item& r = canonical[static_cast<ItemId>(i)];
+        const PlacementRecord got =
+            stream.place(StreamItem{r.size, r.arrival(), r.departure()});
+        const PlacementRecord& want = trace.records()[i];
+        ASSERT_EQ(got.item, want.item) << "decision " << i;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.time),
+                  std::bit_cast<std::uint64_t>(want.time))
+            << "item " << i;
+        EXPECT_EQ(got.bin, want.bin) << "item " << i;
+        EXPECT_EQ(got.openedNewBin, want.openedNewBin) << "item " << i;
+        EXPECT_EQ(got.category, want.category) << "item " << i;
+        EXPECT_EQ(got.openBins, want.openBins) << "item " << i;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.binLevelBefore),
+                  std::bit_cast<std::uint64_t>(want.binLevelBefore))
+            << "item " << i;
+      }
+      stream.finish();
+    }
+  }
+}
+
+TEST(StreamingDifferential, PlacementRecordsMatchBatchDecisionTrace) {
+  for (double mu : {1.0, 16.0}) {
+    WorkloadSpec spec;
+    spec.numItems = 300;
+    spec.mu = mu;
+    spec.arrivalRate = 32.0;
+    expectStreamRecordsMatchBatchTrace(generateWorkload(spec, 3),
+                                       "mu=" + std::to_string(mu));
+  }
+  expectStreamRecordsMatchBatchTrace(firstFitSliverTrap(12, 8.0),
+                                     "sliver-trap");
 }
 
 }  // namespace

@@ -4,10 +4,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "online/any_fit.hpp"
 #include "online/policy_factory.hpp"
+#include "sim/sharded.hpp"
+#include "sim/streaming.hpp"
 #include "util/rng.hpp"
 #include "workload/generators.hpp"
 
@@ -200,6 +204,116 @@ TEST(Simulator, OutOfArrivalOrderInstanceReplaysInArrivalOrder) {
           << "arrival " << k;
     }
   }
+}
+
+// --- Engine parity: every engine rejects a bad decision alike ----------
+
+// The what() of the std::logic_error `run` throws, or a marker when it
+// throws none.
+std::string logicErrorOf(const std::function<void()>& run) {
+  try {
+    run();
+  } catch (const std::logic_error& e) {
+    return e.what();
+  }
+  return "<no std::logic_error>";
+}
+
+StreamItem streamItem(const Item& r) {
+  return {r.size, r.arrival(), r.departure()};
+}
+
+// One message per engine for the same broken policy on the same items:
+// batch (both placement engines), simulateStream, StreamEngine::place and
+// the sharded engine. StuckOnBinZero has no shard key, so the sharded run
+// is the single-shard fallback and its worker error surfaces from finish().
+std::vector<std::string> rejectionsFromEveryEngine(const Instance& inst) {
+  std::vector<std::string> messages;
+  for (PlacementEngine engine :
+       {PlacementEngine::kIndexed, PlacementEngine::kLinearScan}) {
+    SimOptions options;
+    options.engine = engine;
+    messages.push_back(logicErrorOf([&] {
+      StuckOnBinZero policy;
+      simulateOnline(inst, policy, options);
+    }));
+  }
+  messages.push_back(logicErrorOf([&] {
+    StuckOnBinZero policy;
+    InstanceArrivalSource source(inst);
+    simulateStream(source, policy);
+  }));
+  messages.push_back(logicErrorOf([&] {
+    StuckOnBinZero policy;
+    StreamEngine engine(policy);
+    for (const Item& r : inst.sortedByArrival()) engine.place(streamItem(r));
+  }));
+  StuckOnBinZero shardedPolicy;
+  ShardedOptions shardedOptions;
+  shardedOptions.threads = 2;
+  ShardedSimulator sharded(shardedPolicy, shardedOptions);
+  for (const Item& r : inst.sortedByArrival()) sharded.feed(r);
+  messages.push_back(logicErrorOf([&] { sharded.finish(); }));
+  return messages;
+}
+
+TEST(EngineParity, EveryEngineRejectsAnOverfillAlike) {
+  Instance inst = InstanceBuilder().add(0.9, 0, 2).add(0.9, 1, 3).build();
+  for (const std::string& message : rejectionsFromEveryEngine(inst)) {
+    EXPECT_EQ(message, "StuckOnBinZero overfilled bin 0 with item 1");
+  }
+}
+
+TEST(EngineParity, EveryEngineRejectsAClosedBinAlike) {
+  Instance inst = InstanceBuilder().add(0.9, 0, 1).add(0.9, 5, 6).build();
+  for (const std::string& message : rejectionsFromEveryEngine(inst)) {
+    EXPECT_EQ(message, "StuckOnBinZero placed item 1 in closed bin 0");
+  }
+}
+
+TEST(EngineParity, ShardedRejectsASizePerturbingAnnounce) {
+  Instance inst = InstanceBuilder().add(0.4, 0, 10).build();
+  auto halveSize = [](const Item& r) {
+    return Item(r.id, r.size * 0.5, r.arrival(), r.departure());
+  };
+  const std::string expected =
+      "ShardedOptions::announce may only perturb the departure time";
+
+  PolicyPtr policy = makePolicy("cdt-ff", PolicyContext::forInstance(inst));
+  ShardedOptions options;
+  options.announce = halveSize;
+  ShardedSimulator sim(*policy, options);
+  EXPECT_EQ(logicErrorOf([&] { sim.feed(inst[0]); }), expected);
+
+  SimOptions viaBatch;
+  viaBatch.engine = PlacementEngine::kSharded;
+  viaBatch.announce = halveSize;
+  EXPECT_EQ(logicErrorOf([&] { simulateOnline(inst, *policy, viaBatch); }),
+            expected);
+
+  StreamOptions viaStream;
+  viaStream.engine = PlacementEngine::kSharded;
+  viaStream.announce = halveSize;
+  InstanceArrivalSource source(inst);
+  EXPECT_EQ(logicErrorOf([&] { simulateStream(source, *policy, viaStream); }),
+            expected);
+}
+
+TEST(EngineParity, EachEngineNamesItsOwnOptionsOnABadAnnounce) {
+  Instance inst = InstanceBuilder().add(0.4, 0, 10).build();
+  auto moveArrival = [](const Item& r) {
+    return Item(r.id, r.size, r.arrival() + 1, r.departure());
+  };
+  FirstFitPolicy ff;
+  SimOptions batch;
+  batch.announce = moveArrival;
+  EXPECT_EQ(logicErrorOf([&] { simulateOnline(inst, ff, batch); }),
+            "SimOptions::announce may only perturb the departure time");
+  StreamOptions stream;
+  stream.announce = moveArrival;
+  StreamEngine engine(ff, stream);
+  EXPECT_EQ(logicErrorOf([&] { engine.place(streamItem(inst[0])); }),
+            "StreamOptions::announce may only perturb the departure time");
 }
 
 }  // namespace

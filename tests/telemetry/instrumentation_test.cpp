@@ -4,15 +4,13 @@
 // passes on a -DCDBP_TELEMETRY=OFF build (where every delta must be zero).
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "offline/ddff.hpp"
 #include "offline/dual_coloring.hpp"
 #include "online/any_fit.hpp"
 #include "online/classify_departure.hpp"
 #include "sim/simulator.hpp"
+#include "sim/streaming.hpp"
 #include "telemetry/bench_report.hpp"
-#include "telemetry/chrome_trace.hpp"
 #include "telemetry/registry.hpp"
 #include "workload/generators.hpp"
 
@@ -141,30 +139,13 @@ TEST(TelemetryInstrumentation, FitChecksCountPolicyQueriesOnly) {
   }
 }
 
-TEST(TelemetryInstrumentation, SimulatorEmitsChromeTrace) {
-  Instance inst = smallWorkload(20);
-  telemetry::ChromeTrace trace;
-  SimOptions options;
-  options.chromeTrace = &trace;
-  FirstFitPolicy ff;
-  simulateOnline(inst, ff, options);
-  // One complete event per item plus counter samples and bin metadata —
-  // trace emission is independent of the CDBP_TELEMETRY metric toggle.
-  EXPECT_GE(trace.eventCount(), inst.size());
-  std::ostringstream os;
-  trace.write(os);
-  EXPECT_EQ(os.str().front(), '[');
-  EXPECT_NE(os.str().find("open_bins"), std::string::npos);
-}
-
 TEST(TelemetryInstrumentation, OpenBinsGaugeIsZeroAfterDrain) {
-  // Tracing drains the departure queue at end of run, closing every bin.
+  // The stream engine drains every departure at the end of the run,
+  // closing every bin.
   Instance inst = smallWorkload();
-  telemetry::ChromeTrace trace;
-  SimOptions options;
-  options.chromeTrace = &trace;
+  InstanceArrivalSource source(inst);
   FirstFitPolicy ff;
-  simulateOnline(inst, ff, options);
+  simulateStream(source, ff);
   RegistrySnapshot snap = Registry::global().snapshot();
   for (const auto& [name, g] : snap.gauges) {
     if (name == "sim.open_bins") {

@@ -51,6 +51,14 @@ mechanically over ``src/``, ``tests/``, ``bench/`` and ``examples/``:
                      ``tryParseDouble``/``tryParseUint``/``tryParseLong``
                      helpers in ``util/parse.hpp``, which reject trailing
                      junk.
+  commit-outside-kernel
+                     No ``.addItem(`` or ``place(view`` under ``src/sim/``
+                     outside the commit kernel (``sim/stream_internals.hpp``;
+                     ``BinManager``'s own files are exempt). The batch,
+                     stream and sharded engines are bit-identical because
+                     they commit every placement through one function; a
+                     second hand-written policy call or commit is where they
+                     would start to drift.
 
 Suppressing a finding
 ---------------------
@@ -134,6 +142,14 @@ RAW_PARSE_RE = re.compile(
 # The checked helpers live here; they wrap std::from_chars directly.
 RAW_PARSE_EXEMPT = ("util/parse.hpp",)
 
+# A policy call on a view or a bin commit: the two halves of the
+# per-placement step that only the kernel may perform in src/sim/.
+COMMIT_RE = re.compile(r"\.addItem\s*\(|\bplace\s*\(\s*view\b")
+
+COMMIT_DIR = "src/sim/"
+COMMIT_EXEMPT = ("src/sim/stream_internals.hpp", "src/sim/bin_manager.hpp",
+                 "src/sim/bin_manager.cpp")
+
 ALL_RULES = (
     "capacity-compare",
     "rng-discipline",
@@ -143,6 +159,7 @@ ALL_RULES = (
     "wallclock-in-lib",
     "raw-bin-loop",
     "raw-number-parse",
+    "commit-outside-kernel",
 )
 
 
@@ -342,6 +359,20 @@ class FileLint:
                     "strto*); use tryParseDouble/tryParseUint/tryParseLong "
                     "from util/parse.hpp, which reject trailing junk")
 
+    def check_commit_outside_kernel(self) -> None:
+        if not self.relpath.startswith(COMMIT_DIR):
+            return
+        if self.relpath in COMMIT_EXEMPT:
+            return
+        for idx, code in enumerate(self.code_lines, start=1):
+            if COMMIT_RE.search(code):
+                self.report(
+                    idx, "commit-outside-kernel",
+                    "policy call or bin commit outside the placement kernel; "
+                    "go through stream_internal::commitPlacement "
+                    "(sim/stream_internals.hpp) so every engine commits "
+                    "placements with the same code")
+
     def check_pragma_once(self) -> None:
         if not self.relpath.endswith((".hpp", ".h")):
             return
@@ -358,6 +389,7 @@ class FileLint:
         self.check_wallclock_in_lib()
         self.check_raw_bin_loop()
         self.check_raw_number_parse()
+        self.check_commit_outside_kernel()
         self.check_pragma_once()
         return self.findings
 
@@ -403,6 +435,8 @@ FIXTURE_EXPECTATIONS = {
     "src/io/bad_raw_parse.cpp": {"raw-number-parse"},
     "src/io/raw_parse_suppressed_ok.cpp": set(),
     "src/util/parse.hpp": set(),
+    "src/sim/bad_commit.cpp": {"commit-outside-kernel"},
+    "src/sim/stream_internals.hpp": set(),
 }
 
 
