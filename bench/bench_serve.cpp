@@ -86,19 +86,21 @@ serve::Client openSession(serve::Server& server, const std::string& policySpec,
   return client;
 }
 
-/// One pipelined pass over the full item set: queue in bursts, flush,
-/// read the burst's replies, drain at the end.
+/// One pipelined pass over the full item set: one BATCH per burst, its
+/// BATCH_OK read before the next, drain at the end.
 void runPipelined(serve::Client& client,
                   const std::vector<StreamItem>& items) {
   std::size_t i = 0;
   while (i < items.size()) {
     std::size_t end = std::min(i + kBurst, items.size());
+    serve::Client::Batch batch = client.batch();
     for (std::size_t j = i; j < end; ++j) {
       const StreamItem& item = items[j];
-      client.queuePlace(item.size, item.arrival, item.departure);
+      batch.place(item.size, item.arrival, item.departure);
     }
-    client.flushQueued();
-    while (client.queued() > 0) client.readPlaced();
+    if (batch.send().failed != 0) {
+      throw std::runtime_error("bench_serve: the server rejected a BATCH op");
+    }
     i = end;
   }
   g_sink = client.drain().totalUsage;

@@ -15,9 +15,13 @@ namespace {
   throw std::system_error(errno, std::generic_category(), what);
 }
 
+// Reply payload cap. Larger than the server's request cap because a
+// SCRAPE reply carries the whole telemetry exposition.
+constexpr std::size_t kMaxReplyPayload = 4 * 1024 * 1024;
+
 }  // namespace
 
-Client::Client(int fd, ClientOptions options) : fd_(fd), options_(options) {}
+Client::Client(int fd) : fd_(fd) {}
 
 Client::~Client() {
   if (fd_ >= 0) ::close(fd_);
@@ -25,53 +29,36 @@ Client::~Client() {
 
 Client::Client(Client&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)),
-      options_(other.options_),
-      negotiatedVersion_(other.negotiatedVersion_),
       rbuf_(std::move(other.rbuf_)),
-      rpos_(other.rpos_),
-      outQueue_(std::move(other.outQueue_)),
-      pendingOps_(std::move(other.pendingOps_)),
-      inflightBatchOps_(std::move(other.inflightBatchOps_)),
-      placedBacklog_(std::move(other.placedBacklog_)),
-      pendingFailure_(std::move(other.pendingFailure_)),
-      owedReplies_(other.owedReplies_) {}
+      rpos_(other.rpos_) {}
 
 Client& Client::operator=(Client&& other) noexcept {
   if (this != &other) {
     if (fd_ >= 0) ::close(fd_);
     fd_ = std::exchange(other.fd_, -1);
-    options_ = other.options_;
-    negotiatedVersion_ = other.negotiatedVersion_;
     rbuf_ = std::move(other.rbuf_);
     rpos_ = other.rpos_;
-    outQueue_ = std::move(other.outQueue_);
-    pendingOps_ = std::move(other.pendingOps_);
-    inflightBatchOps_ = std::move(other.inflightBatchOps_);
-    placedBacklog_ = std::move(other.placedBacklog_);
-    pendingFailure_ = std::move(other.pendingFailure_);
-    owedReplies_ = other.owedReplies_;
   }
   return *this;
 }
 
-Client Client::connect(const Address& address, ClientOptions options) {
-  return Client(connectStream(address), options);
+Client Client::connect(const Address& address) {
+  return Client(connectStream(address));
 }
 
-Client Client::connectUnix(const std::string& path, ClientOptions options) {
+Client Client::connectUnix(const std::string& path) {
   Address address;
   address.kind = Address::Kind::kUnix;
   address.path = path;
-  return connect(address, options);
+  return connect(address);
 }
 
-Client Client::connectTcp(const std::string& host, std::uint16_t port,
-                          ClientOptions options) {
+Client Client::connectTcp(const std::string& host, std::uint16_t port) {
   Address address;
   address.kind = Address::Kind::kTcp;
   address.host = host;
   address.port = port;
-  return connect(address, options);
+  return connect(address);
 }
 
 void Client::sendAll(const std::uint8_t* data, std::size_t size) {
@@ -97,7 +84,7 @@ OwnedFrame Client::readFrame() {
     std::size_t consumed = 0;
     ExtractStatus status =
         extractFrame(rbuf_.data() + rpos_, rbuf_.size() - rpos_,
-                     options_.maxFramePayload, frame, consumed);
+                     kMaxReplyPayload, frame, consumed);
     if (status == ExtractStatus::kFrame) {
       OwnedFrame owned;
       owned.type = frame.type;
@@ -143,71 +130,54 @@ OwnedFrame Client::expectFrame(FrameType expected) {
   return frame;
 }
 
+template <typename Reply>
+Reply Client::roundTrip(const std::vector<std::uint8_t>& request,
+                        FrameType replyType,
+                        bool (*decode)(const FrameView&, Reply&)) {
+  sendAll(request.data(), request.size());
+  Reply reply;
+  if (!decode(expectFrame(replyType).view(), reply)) {
+    throw std::runtime_error(
+        "undecodable reply of type " +
+        std::to_string(static_cast<unsigned>(replyType)));
+  }
+  return reply;
+}
+
 HelloOkFrame Client::hello(const HelloFrame& helloIn) {
   std::vector<std::uint8_t> bytes;
   appendHello(bytes, helloIn);
-  sendAll(bytes.data(), bytes.size());
-  HelloOkFrame ok;
-  if (!decodeHelloOk(expectFrame(FrameType::kHelloOk).view(), ok)) {
-    throw std::runtime_error("undecodable HELLO_OK reply");
-  }
-  negotiatedVersion_ = ok.version;
-  return ok;
+  return roundTrip(bytes, FrameType::kHelloOk, decodeHelloOk);
 }
 
 PlacedFrame Client::place(double size, double arrival, double departure) {
   std::vector<std::uint8_t> bytes;
   appendPlace(bytes, PlaceFrame{size, arrival, departure});
-  sendAll(bytes.data(), bytes.size());
-  PlacedFrame placed;
-  if (!decodePlaced(expectFrame(FrameType::kPlaced).view(), placed)) {
-    throw std::runtime_error("undecodable PLACED reply");
-  }
-  return placed;
+  return roundTrip(bytes, FrameType::kPlaced, decodePlaced);
 }
 
 DepartOkFrame Client::departUntil(double time) {
   std::vector<std::uint8_t> bytes;
   appendDepart(bytes, DepartFrame{time});
-  sendAll(bytes.data(), bytes.size());
-  DepartOkFrame ok;
-  if (!decodeDepartOk(expectFrame(FrameType::kDepartOk).view(), ok)) {
-    throw std::runtime_error("undecodable DEPART_OK reply");
-  }
-  return ok;
+  return roundTrip(bytes, FrameType::kDepartOk, decodeDepartOk);
 }
 
 StatsOkFrame Client::stats() {
   std::vector<std::uint8_t> bytes;
   appendStats(bytes);
-  sendAll(bytes.data(), bytes.size());
-  StatsOkFrame ok;
-  if (!decodeStatsOk(expectFrame(FrameType::kStatsOk).view(), ok)) {
-    throw std::runtime_error("undecodable STATS_OK reply");
-  }
-  return ok;
+  return roundTrip(bytes, FrameType::kStatsOk, decodeStatsOk);
 }
 
 DrainOkFrame Client::drain() {
   std::vector<std::uint8_t> bytes;
   appendDrain(bytes);
-  sendAll(bytes.data(), bytes.size());
-  DrainOkFrame ok;
-  if (!decodeDrainOk(expectFrame(FrameType::kDrainOk).view(), ok)) {
-    throw std::runtime_error("undecodable DRAIN_OK reply");
-  }
-  return ok;
+  return roundTrip(bytes, FrameType::kDrainOk, decodeDrainOk);
 }
 
 std::string Client::scrape() {
   std::vector<std::uint8_t> bytes;
   appendScrape(bytes);
-  sendAll(bytes.data(), bytes.size());
-  ScrapeOkFrame ok;
-  if (!decodeScrapeOk(expectFrame(FrameType::kScrapeOk).view(), ok)) {
-    throw std::runtime_error("undecodable SCRAPE_OK reply");
-  }
-  return ok.text;
+  return roundTrip(bytes, FrameType::kScrapeOk, decodeScrapeOk).text;
 }
 
 // --- batch builder ---------------------------------------------------------
@@ -232,104 +202,13 @@ Client::Batch& Client::Batch::depart(double time) {
 BatchOkFrame Client::Batch::send() { return client_->sendBatch(frame_); }
 
 BatchOkFrame Client::sendBatch(const BatchFrame& frame) {
-  if (negotiatedVersion_ < 2) {
-    throw std::logic_error(
-        "BATCH requires a v2 session (negotiated v" +
-        std::to_string(negotiatedVersion_) + "); call hello() first");
-  }
   if (frame.ops.size() > kMaxBatchOps) {
     throw std::logic_error("BATCH of " + std::to_string(frame.ops.size()) +
                            " ops exceeds kMaxBatchOps");
   }
   std::vector<std::uint8_t> bytes;
   appendBatch(bytes, frame);
-  sendAll(bytes.data(), bytes.size());
-  BatchOkFrame ok;
-  if (!decodeBatchOk(expectFrame(FrameType::kBatchOk).view(), ok)) {
-    throw std::runtime_error("undecodable BATCH_OK reply");
-  }
-  return ok;
-}
-
-// --- pipelined wrapper -----------------------------------------------------
-
-void Client::queuePlace(double size, double arrival, double departure) {
-  if (negotiatedVersion_ >= 2) {
-    BatchOp op;
-    op.kind = kBatchOpPlace;
-    op.place = PlaceFrame{size, arrival, departure};
-    pendingOps_.push_back(op);
-  } else {
-    appendPlace(outQueue_, PlaceFrame{size, arrival, departure});
-  }
-  ++owedReplies_;
-}
-
-void Client::flushQueued() {
-  if (!pendingOps_.empty()) {
-    // Pack the staged ops into BATCH frames, kMaxBatchOps at a time, and
-    // remember each frame's op count for reply accounting.
-    std::size_t at = 0;
-    while (at < pendingOps_.size()) {
-      std::size_t take = pendingOps_.size() - at;
-      if (take > kMaxBatchOps) take = kMaxBatchOps;
-      BatchFrame frame;
-      frame.ops.assign(pendingOps_.begin() + static_cast<std::ptrdiff_t>(at),
-                       pendingOps_.begin() +
-                           static_cast<std::ptrdiff_t>(at + take));
-      appendBatch(outQueue_, frame);
-      inflightBatchOps_.push_back(take);
-      at += take;
-    }
-    pendingOps_.clear();
-  }
-  if (outQueue_.empty()) return;
-  sendAll(outQueue_.data(), outQueue_.size());
-  outQueue_.clear();
-}
-
-PlacedFrame Client::readPlaced() {
-  while (placedBacklog_.empty()) {
-    if (pendingFailure_.has_value()) {
-      ErrorFrame failure = std::move(*pendingFailure_);
-      pendingFailure_.reset();
-      throw ServeError(failure.code, failure.message);
-    }
-    if (owedReplies_ == 0) {
-      throw std::logic_error("readPlaced() with no queued PLACE outstanding");
-    }
-    if (inflightBatchOps_.empty()) {
-      // v1 path: one PLACED per queued PLACE.
-      PlacedFrame placed;
-      if (!decodePlaced(expectFrame(FrameType::kPlaced).view(), placed)) {
-        throw std::runtime_error("undecodable PLACED reply");
-      }
-      --owedReplies_;
-      return placed;
-    }
-    std::size_t ops = inflightBatchOps_.front();
-    inflightBatchOps_.pop_front();
-    BatchOkFrame ok;
-    if (!decodeBatchOk(expectFrame(FrameType::kBatchOk).view(), ok)) {
-      throw std::runtime_error("undecodable BATCH_OK reply");
-    }
-    for (const BatchResultEntry& entry : ok.results) {
-      if (entry.kind == kBatchOpPlace) placedBacklog_.push_back(entry.placed);
-    }
-    if (ok.failed != 0) {
-      // Ops past the failure never ran; stop owing replies for them. The
-      // failure itself surfaces once the completed prefix is consumed.
-      owedReplies_ -= ops - ok.results.size();
-      ErrorFrame failure;
-      failure.code = ok.errorCode;
-      failure.message = ok.errorMessage;
-      pendingFailure_ = std::move(failure);
-    }
-  }
-  PlacedFrame placed = placedBacklog_.front();
-  placedBacklog_.pop_front();
-  --owedReplies_;
-  return placed;
+  return roundTrip(bytes, FrameType::kBatchOk, decodeBatchOk);
 }
 
 }  // namespace cdbp::serve

@@ -7,26 +7,17 @@
 // (recoverable — the connection keeps serving) from transport failure
 // (std::runtime_error — the connection is gone).
 //
-// Versioning: hello() offers kProtocolVersion and records what the
-// server negotiated. Against a v1 server the client degrades
-// transparently — every v1 call keeps working and the batch paths below
-// fall back to one PLACE frame per item.
+// Versioning: hello() offers kProtocolVersion (v2), the one version the
+// server speaks.
 //
-// Batching (v2): batch() builds one BATCH frame of PLACE/DEPART sub-ops
-// and send() returns the combined BATCH_OK — including partial results
-// when an op mid-batch failed. The older pipelined trio
-// (queuePlace/flushQueued/readPlaced) is kept as a thin wrapper: on a
-// v2 session it packs queued placements into BATCH frames (kMaxBatchOps
-// per frame) and unpacks the combined replies, on a v1 session it sends
-// raw PLACE frames — same call sites, same observable placements either
-// way (the equivalence test pins this). This is what stream_replay
-// --connect and bench_serve use to keep the socket full without one
-// round trip per item.
+// Batching: batch() builds one BATCH frame of PLACE/DEPART sub-ops and
+// send() returns the combined BATCH_OK — including partial results when
+// an op mid-batch failed. It is the client's one way to keep the socket
+// full without one round trip per item; bench_serve's Pipelined series
+// sends its bursts through it.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -48,12 +39,6 @@ class ServeError : public std::runtime_error {
 
  private:
   ErrorCode code_;
-};
-
-struct ClientOptions {
-  /// Reply payload cap. Larger than the server's request cap because a
-  /// SCRAPE reply carries the whole telemetry exposition.
-  std::size_t maxFramePayload = 4 * 1024 * 1024;
 };
 
 /// One reply frame with owned payload bytes.
@@ -80,8 +65,8 @@ class Client {
   /// send() returns the BATCH_OK as-is — a mid-batch failure is data
   /// (results for the completed prefix + the failing op's index and
   /// code), not an exception; only a top-level ERROR reply throws
-  /// ServeError. Building more than kMaxBatchOps ops or sending on a
-  /// session that did not negotiate v2 throws std::logic_error.
+  /// ServeError (before hello() that is kUnknownTenant). Sending more
+  /// than kMaxBatchOps ops throws std::logic_error.
   class Batch {
    public:
     Batch& place(double size, double arrival, double departure);
@@ -98,7 +83,7 @@ class Client {
   };
 
   /// Adopts a connected stream socket (e.g. one end of a socketpair).
-  explicit Client(int fd, ClientOptions options = {});
+  explicit Client(int fd);
   ~Client();
 
   Client(Client&& other) noexcept;
@@ -108,19 +93,13 @@ class Client {
 
   /// Connects to the address (serve/address.hpp owns the socket
   /// conventions). Throws std::system_error on connect failure.
-  static Client connect(const Address& address, ClientOptions options = {});
-  static Client connectUnix(const std::string& path,
-                            ClientOptions options = {});
-  static Client connectTcp(const std::string& host, std::uint16_t port,
-                           ClientOptions options = {});
+  static Client connect(const Address& address);
+  static Client connectUnix(const std::string& path);
+  static Client connectTcp(const std::string& host, std::uint16_t port);
 
-  /// Opens the session: sends HELLO, returns the HELLO_OK and records
-  /// the negotiated version. Throws ServeError on a typed rejection
-  /// (bad spec, version below the server's floor, ...).
+  /// Opens the session: sends HELLO and returns the HELLO_OK. Throws
+  /// ServeError on a typed rejection (bad spec, version below v2, ...).
   HelloOkFrame hello(const HelloFrame& hello);
-
-  /// Protocol version negotiated by hello(); 0 before a session opens.
-  std::uint16_t negotiatedVersion() const { return negotiatedVersion_; }
 
   /// One placement round trip.
   PlacedFrame place(double size, double arrival, double departure);
@@ -140,15 +119,6 @@ class Client {
   /// Fetches the server's telemetry exposition text.
   std::string scrape();
 
-  // Pipelined PLACE: queue locally, flush in one write, read replies in
-  // order. On a v2 session this is a wrapper over BATCH frames; on v1
-  // (or before hello()) it sends raw PLACE frames. queued() reports how
-  // many placement replies are still owed.
-  void queuePlace(double size, double arrival, double departure);
-  void flushQueued();
-  PlacedFrame readPlaced();
-  std::size_t queued() const { return owedReplies_; }
-
   /// Sends raw pre-encoded bytes — robustness tests use this to deliver
   /// malformed, truncated, or oversized frames.
   void sendRaw(const std::vector<std::uint8_t>& bytes);
@@ -166,26 +136,16 @@ class Client {
  private:
   BatchOkFrame sendBatch(const BatchFrame& frame);
   void sendAll(const std::uint8_t* data, std::size_t size);
+  /// One request/reply exchange: sends the encoded `request`, reads the
+  /// `replyType` frame and decodes it.
+  template <typename Reply>
+  Reply roundTrip(const std::vector<std::uint8_t>& request,
+                  FrameType replyType,
+                  bool (*decode)(const FrameView&, Reply&));
 
   int fd_ = -1;
-  ClientOptions options_;
-  std::uint16_t negotiatedVersion_ = 0;
   std::vector<std::uint8_t> rbuf_;
   std::size_t rpos_ = 0;
-
-  // Pipelined-path state. v1 sessions encode PLACE frames straight into
-  // outQueue_; v2 sessions stage ops in pendingOps_ until flushQueued()
-  // packs them into BATCH frames (inflightBatchOps_ remembers each
-  // in-flight frame's op count so readPlaced can account for replies).
-  std::vector<std::uint8_t> outQueue_;
-  std::vector<BatchOp> pendingOps_;
-  std::deque<std::size_t> inflightBatchOps_;
-  std::deque<PlacedFrame> placedBacklog_;
-  std::optional<ErrorFrame> pendingFailure_;
-  std::size_t owedReplies_ = 0;
 };
-
-/// Back-compat alias from the pre-sharding API.
-using ServeClient = Client;
 
 }  // namespace cdbp::serve

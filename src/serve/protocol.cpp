@@ -19,7 +19,6 @@ const char* errorCodeName(ErrorCode code) {
     case ErrorCode::kSessionFinished: return "session-finished";
     case ErrorCode::kBackpressure: return "backpressure";
     case ErrorCode::kInternal: return "internal";
-    case ErrorCode::kUnsupportedVersion: return "unsupported-version";
   }
   return "unknown";
 }
@@ -160,7 +159,7 @@ class Cursor {
     return true;
   }
 
-  /// Strict decoders require the body to be fully consumed: v1 frames
+  /// Strict decoders require the body to be fully consumed: frames
   /// carry no extension fields, so trailing bytes are malformed input.
   bool done() const { return pos_ == size_; }
 

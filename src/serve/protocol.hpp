@@ -13,14 +13,12 @@
 // simulateStream differential suite pins. Strings are u16 length +
 // UTF-8-agnostic raw bytes; the SCRAPE text uses a u32 length.
 //
-// Versioning: this build speaks v2. HELLO carries the highest version the
-// client understands; the server answers HELLO_OK with the negotiated
-// version min(client, server) — so a v1 client gets a v1 session (the v1
-// frame set is a strict subset of v2) and a v3 client degrades to v2. A
-// v2-only frame (BATCH) on a v1-negotiated session costs a typed
-// ERROR(unsupported-version) reply, never a disconnect.
+// Versioning: this build speaks v2 only. HELLO carries the highest
+// version the client understands; the server answers HELLO_OK with v2 to
+// any client at v2 or above and rejects v0 and v1 with
+// ERROR(protocol-version).
 //
-// v2 adds BATCH/BATCH_OK: many PLACE/DEPART sub-ops for one tenant in one
+// BATCH/BATCH_OK carry many PLACE/DEPART sub-ops for one tenant in one
 // frame, executed in order, answered with one combined reply. Sub-ops
 // after a failing one do not run; the reply carries the results of the
 // completed prefix plus the failing op's index and typed error.
@@ -36,7 +34,7 @@
 //   client: HELLO  -> server: HELLO_OK | ERROR
 //   client: PLACE  -> server: PLACED   | ERROR     (repeatable)
 //   client: DEPART -> server: DEPART_OK| ERROR     (advance virtual time)
-//   client: BATCH  -> server: BATCH_OK | ERROR     (v2; repeatable)
+//   client: BATCH  -> server: BATCH_OK | ERROR     (repeatable)
 //   client: STATS  -> server: STATS_OK | ERROR
 //   client: DRAIN  -> server: DRAIN_OK | ERROR     (finishes the session)
 //   client: SCRAPE -> server: SCRAPE_OK            (no session required)
@@ -52,17 +50,15 @@
 
 namespace cdbp::serve {
 
-/// Highest protocol version this build speaks. HELLO negotiates
-/// min(client, kProtocolVersion); versions below kMinProtocolVersion are
-/// rejected with kErrProtocolVersion.
+/// The one protocol version this build speaks: both the floor and the
+/// ceiling of HELLO negotiation.
 inline constexpr std::uint16_t kProtocolVersion = 2;
-inline constexpr std::uint16_t kMinProtocolVersion = 1;
 
-/// The version a session speaks after HELLO: min(requested, ours), or 0
-/// when `requested` is below the supported floor (reject).
+/// The version a session speaks after HELLO: kProtocolVersion for any
+/// client at or above it, or 0 when `requested` is older (reject with
+/// kProtocolVersion).
 constexpr std::uint16_t negotiateVersion(std::uint16_t requested) {
-  if (requested < kMinProtocolVersion) return 0;
-  return requested < kProtocolVersion ? requested : kProtocolVersion;
+  return requested < kProtocolVersion ? 0 : kProtocolVersion;
 }
 
 /// Default cap on a frame payload (type byte + body). A length prefix
@@ -84,7 +80,7 @@ enum class FrameType : std::uint8_t {
   kStats = 0x04,
   kDrain = 0x05,
   kScrape = 0x06,
-  kBatch = 0x07,  // v2
+  kBatch = 0x07,
   // server -> client
   kHelloOk = 0x81,
   kPlaced = 0x82,
@@ -92,7 +88,7 @@ enum class FrameType : std::uint8_t {
   kStatsOk = 0x84,
   kDrainOk = 0x85,
   kScrapeOk = 0x86,
-  kBatchOk = 0x87,  // v2
+  kBatchOk = 0x87,
   kError = 0xFF,
 };
 
@@ -100,7 +96,7 @@ enum class ErrorCode : std::uint16_t {
   kMalformedFrame = 1,   ///< payload did not decode as its frame type
   kOversizedFrame = 2,   ///< length prefix above the server's cap (fatal)
   kUnknownFrameType = 3, ///< type byte outside the known request set
-  kProtocolVersion = 4,  ///< HELLO version below kMinProtocolVersion
+  kProtocolVersion = 4,  ///< HELLO version below kProtocolVersion
   kUnknownTenant = 5,    ///< session request before a successful HELLO
   kDuplicateHello = 6,   ///< second HELLO on a connection
   kBadPolicySpec = 7,    ///< makePolicy rejected the HELLO spec
@@ -109,7 +105,7 @@ enum class ErrorCode : std::uint16_t {
   kSessionFinished = 10, ///< request after DRAIN completed the session
   kBackpressure = 11,    ///< connection shed: client stopped reading
   kInternal = 12,        ///< policy/engine contract violation (fatal)
-  kUnsupportedVersion = 13, ///< frame requires a newer negotiated version
+  // 13 is retired (it was unsupported-version); never reuse it.
 };
 
 /// Human-readable mnemonic ("bad-policy-spec") for logs and tests.
@@ -156,7 +152,7 @@ struct DepartOkFrame {
   std::uint64_t openBins = 0;  ///< open bins after the drain
 };
 
-// --- v2 batch frames -------------------------------------------------------
+// --- batch frames ----------------------------------------------------------
 
 /// Sub-op kinds inside a BATCH frame.
 inline constexpr std::uint8_t kBatchOpPlace = 0;

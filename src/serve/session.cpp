@@ -6,6 +6,7 @@
 
 #include <cerrno>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 #include "telemetry/expose.hpp"
@@ -161,10 +162,8 @@ void Session::handleFrame(const FrameView& frame) {
       handleHello(frame);
       return;
     case FrameType::kPlace:
-      handlePlace(frame);
-      return;
     case FrameType::kDepart:
-      handleDepart(frame);
+      handleOp(frame);
       return;
     case FrameType::kBatch:
       handleBatch(frame);
@@ -206,7 +205,7 @@ void Session::handleFrame(const FrameView& frame) {
 }
 
 bool Session::requireSession(const char* verb) {
-  if (negotiatedVersion_ == 0) {
+  if (!hasTenant()) {
     sendError(ErrorCode::kUnknownTenant,
               std::string(verb) + " before HELLO");
     return false;
@@ -225,16 +224,13 @@ void Session::handleHello(const FrameView& frame) {
     sendError(ErrorCode::kMalformedFrame, "undecodable HELLO body");
     return;
   }
-  std::uint16_t negotiated = negotiateVersion(hello.version);
-  if (negotiated == 0) {
+  if (negotiateVersion(hello.version) == 0) {
     sendError(ErrorCode::kProtocolVersion,
-              "server speaks cdbp-serve v" +
-                  std::to_string(kMinProtocolVersion) + "..v" +
-                  std::to_string(kProtocolVersion) + ", client sent v" +
-                  std::to_string(hello.version));
+              "server speaks cdbp-serve v" + std::to_string(kProtocolVersion) +
+                  ", client sent v" + std::to_string(hello.version));
     return;
   }
-  if (negotiatedVersion_ != 0) {
+  if (hasTenant()) {
     sendError(ErrorCode::kDuplicateHello,
               "connection already carries a session for tenant '" + tenant_ +
                   "'");
@@ -257,15 +253,13 @@ void Session::handleHello(const FrameView& frame) {
                                            : PlacementEngine::kIndexed;
   auto engine = std::make_unique<StreamEngine>(*policy, streamOptions);
 
-  HelloOkFrame ok;
-  ok.version = negotiated;
+  HelloOkFrame ok;  // version: kProtocolVersion, the one we speak
   ok.policyName = policy->name();
   tenantId_ = tenants_.open(hello.tenant, ok.policyName);
   ok.tenantId = tenantId_;
   tenant_ = hello.tenant;
   policy_ = std::move(policy);
   engine_ = std::move(engine);
-  negotiatedVersion_ = negotiated;
   counters_.sessionsOpened.fetch_add(1, std::memory_order_relaxed);
   if (telemetry::kEnabled) {
     // Dynamic metric names cannot go through the CDBP_TELEM_* macros
@@ -282,95 +276,40 @@ void Session::handleHello(const FrameView& frame) {
   sendBytes(reply);
 }
 
-void Session::handlePlace(const FrameView& frame) {
-  if (!requireSession("PLACE")) return;
-  PlaceFrame place;
-  if (!decodePlace(frame, place)) {
-    sendError(ErrorCode::kMalformedFrame, "undecodable PLACE body");
+void Session::handleOp(const FrameView& frame) {
+  const bool isPlace = frame.type == FrameType::kPlace;
+  if (!requireSession(isPlace ? "PLACE" : "DEPART")) return;
+  BatchOp op;
+  op.kind = isPlace ? kBatchOpPlace : kBatchOpDepart;
+  const bool decoded = isPlace ? decodePlace(frame, op.place)
+                                : decodeDepart(frame, op.depart);
+  if (!decoded) {
+    sendError(ErrorCode::kMalformedFrame, isPlace ? "undecodable PLACE body"
+                                                  : "undecodable DEPART body");
     return;
   }
-  StreamEngine& engine = *engine_;
-  if (place.arrival < engine.timeWatermark()) {
-    sendError(ErrorCode::kOutOfOrder,
-              "PLACE arrival " + std::to_string(place.arrival) +
-                  " behind the session watermark " +
-                  std::to_string(engine.timeWatermark()));
+  BatchResultEntry result;
+  if (std::optional<ErrorFrame> error = execute(op, result)) {
+    sendError(error->code, error->message);
     return;
   }
-  StreamEngine::Placement placed;
-  try {
-    CDBP_TELEM_SCOPED_TIMER(timer, "serve.place_ns");
-    placed =
-        engine.place(StreamItem{place.size, place.arrival, place.departure});
-  } catch (const std::invalid_argument& e) {
-    sendError(ErrorCode::kBadItem, e.what());
-    return;
-  } catch (const std::logic_error& e) {
-    // A policy/engine contract violation is a server-side bug; the
-    // session is no longer trustworthy.
-    finished_ = true;
-    sendError(ErrorCode::kInternal, e.what());
-    return;
-  }
-  CDBP_TELEM_COUNT("serve.placements", 1);
-  counters_.placements.fetch_add(1, std::memory_order_relaxed);
-  if (tenantPlacements_ != nullptr) tenantPlacements_->add(1);
-  ++placementsSinceNote_;
-  noteTenantProgress(/*force=*/false);
-  PlacedFrame reply;
-  reply.item = placed.item;
-  reply.bin = placed.bin;
-  reply.openedNewBin = placed.openedNewBin ? 1 : 0;
-  reply.category = placed.category;
   std::vector<std::uint8_t> bytes;
-  appendPlaced(bytes, reply);
-  sendBytes(bytes);
-}
-
-void Session::handleDepart(const FrameView& frame) {
-  if (!requireSession("DEPART")) return;
-  DepartFrame depart;
-  if (!decodeDepart(frame, depart)) {
-    sendError(ErrorCode::kMalformedFrame, "undecodable DEPART body");
-    return;
+  if (isPlace) {
+    CDBP_TELEM_COUNT("serve.placements", 1);
+    counters_.placements.fetch_add(1, std::memory_order_relaxed);
+    if (tenantPlacements_ != nullptr) tenantPlacements_->add(1);
+    ++placementsSinceNote_;
+    noteTenantProgress(/*force=*/false);
+    appendPlaced(bytes, result.placed);
+  } else {
+    noteTenantProgress(/*force=*/true);
+    appendDepartOk(bytes, result.depart);
   }
-  StreamEngine& engine = *engine_;
-  if (depart.time < engine.timeWatermark()) {
-    sendError(ErrorCode::kOutOfOrder,
-              "DEPART time " + std::to_string(depart.time) +
-                  " behind the session watermark " +
-                  std::to_string(engine.timeWatermark()));
-    return;
-  }
-  DepartOkFrame ok;
-  try {
-    ok.drained = engine.drainUntil(depart.time);
-  } catch (const std::invalid_argument& e) {
-    sendError(ErrorCode::kBadItem, e.what());  // non-finite time
-    return;
-  }
-  ok.openBins = engine.openBins();
-  noteTenantProgress(/*force=*/true);
-  std::vector<std::uint8_t> bytes;
-  appendDepartOk(bytes, ok);
   sendBytes(bytes);
 }
 
 void Session::handleBatch(const FrameView& frame) {
-  if (negotiatedVersion_ == 0) {
-    sendError(ErrorCode::kUnknownTenant, "BATCH before HELLO");
-    return;
-  }
-  if (negotiatedVersion_ < 2) {
-    sendError(ErrorCode::kUnsupportedVersion,
-              "BATCH requires cdbp-serve v2; this session negotiated v" +
-                  std::to_string(negotiatedVersion_));
-    return;
-  }
-  if (finished_) {
-    sendError(ErrorCode::kSessionFinished, "BATCH after DRAIN");
-    return;
-  }
+  if (!requireSession("BATCH")) return;
   BatchFrame batch;
   if (!decodeBatch(frame, batch)) {
     sendError(ErrorCode::kMalformedFrame, "undecodable BATCH body");
@@ -379,65 +318,18 @@ void Session::handleBatch(const FrameView& frame) {
 
   BatchOkFrame ok;
   ok.results.reserve(batch.ops.size());
-  auto fail = [&ok](std::size_t index, ErrorCode code, std::string message) {
-    ok.failed = 1;
-    ok.failedIndex = static_cast<std::uint32_t>(index);
-    ok.errorCode = code;
-    ok.errorMessage = std::move(message);
-  };
-
-  StreamEngine& engine = *engine_;
   std::uint64_t placed = 0;
   for (std::size_t i = 0; i < batch.ops.size(); ++i) {
-    const BatchOp& op = batch.ops[i];
-    if (op.kind == kBatchOpPlace) {
-      if (op.place.arrival < engine.timeWatermark()) {
-        fail(i, ErrorCode::kOutOfOrder,
-             "PLACE arrival " + std::to_string(op.place.arrival) +
-                 " behind the session watermark " +
-                 std::to_string(engine.timeWatermark()));
-        break;
-      }
-      StreamEngine::Placement result;
-      try {
-        CDBP_TELEM_SCOPED_TIMER(timer, "serve.place_ns");
-        result = engine.place(
-            StreamItem{op.place.size, op.place.arrival, op.place.departure});
-      } catch (const std::invalid_argument& e) {
-        fail(i, ErrorCode::kBadItem, e.what());
-        break;
-      } catch (const std::logic_error& e) {
-        finished_ = true;
-        fail(i, ErrorCode::kInternal, e.what());
-        break;
-      }
-      ++placed;
-      BatchResultEntry entry;
-      entry.kind = kBatchOpPlace;
-      entry.placed.item = result.item;
-      entry.placed.bin = result.bin;
-      entry.placed.openedNewBin = result.openedNewBin ? 1 : 0;
-      entry.placed.category = result.category;
-      ok.results.push_back(entry);
-    } else {
-      if (op.depart.time < engine.timeWatermark()) {
-        fail(i, ErrorCode::kOutOfOrder,
-             "DEPART time " + std::to_string(op.depart.time) +
-                 " behind the session watermark " +
-                 std::to_string(engine.timeWatermark()));
-        break;
-      }
-      BatchResultEntry entry;
-      entry.kind = kBatchOpDepart;
-      try {
-        entry.depart.drained = engine.drainUntil(op.depart.time);
-      } catch (const std::invalid_argument& e) {
-        fail(i, ErrorCode::kBadItem, e.what());
-        break;
-      }
-      entry.depart.openBins = engine.openBins();
-      ok.results.push_back(entry);
+    BatchResultEntry result;
+    if (std::optional<ErrorFrame> error = execute(batch.ops[i], result)) {
+      ok.failed = 1;
+      ok.failedIndex = static_cast<std::uint32_t>(i);
+      ok.errorCode = error->code;
+      ok.errorMessage = std::move(error->message);
+      break;
     }
+    if (result.kind == kBatchOpPlace) ++placed;
+    ok.results.push_back(result);
   }
 
   counters_.batches.fetch_add(1, std::memory_order_relaxed);
@@ -452,6 +344,43 @@ void Session::handleBatch(const FrameView& frame) {
   std::vector<std::uint8_t> bytes;
   appendBatchOk(bytes, ok);
   sendBytes(bytes);
+}
+
+std::optional<ErrorFrame> Session::execute(const BatchOp& op,
+                                           BatchResultEntry& result) {
+  StreamEngine& engine = *engine_;
+  const bool isPlace = op.kind == kBatchOpPlace;
+  const double time = isPlace ? op.place.arrival : op.depart.time;
+  if (time < engine.timeWatermark()) {
+    return ErrorFrame{ErrorCode::kOutOfOrder,
+                      (isPlace ? "PLACE arrival " : "DEPART time ") +
+                          std::to_string(time) +
+                          " behind the session watermark " +
+                          std::to_string(engine.timeWatermark())};
+  }
+  result.kind = op.kind;
+  try {
+    if (isPlace) {
+      CDBP_TELEM_SCOPED_TIMER(timer, "serve.place_ns");
+      StreamEngine::Placement placed = engine.place(
+          StreamItem{op.place.size, op.place.arrival, op.place.departure});
+      result.placed.item = placed.item;
+      result.placed.bin = placed.bin;
+      result.placed.openedNewBin = placed.openedNewBin ? 1 : 0;
+      result.placed.category = placed.category;
+    } else {
+      result.depart.drained = engine.drainUntil(op.depart.time);
+      result.depart.openBins = engine.openBins();
+    }
+  } catch (const std::invalid_argument& e) {
+    return ErrorFrame{ErrorCode::kBadItem, e.what()};  // bad size, NaN time
+  } catch (const std::logic_error& e) {
+    // A policy/engine contract violation is a server-side bug; the
+    // session is no longer trustworthy.
+    finished_ = true;
+    return ErrorFrame{ErrorCode::kInternal, e.what()};
+  }
+  return std::nullopt;
 }
 
 void Session::handleStats() {
@@ -471,14 +400,7 @@ void Session::handleStats() {
 }
 
 void Session::handleDrainRequest() {
-  if (negotiatedVersion_ == 0) {
-    sendError(ErrorCode::kUnknownTenant, "DRAIN before HELLO");
-    return;
-  }
-  if (finished_) {
-    sendError(ErrorCode::kSessionFinished, "session already drained");
-    return;
-  }
+  if (!requireSession("DRAIN")) return;
   StreamResult result = engine_->finish();
   finished_ = true;
   DrainOkFrame ok;

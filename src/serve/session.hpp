@@ -23,16 +23,20 @@
 // buffer somehow exceeds limit + maxFramePayload + headroom is shed with
 // kBackpressure semantics (counted in ShardCounters::shedConnections).
 //
-// Version negotiation (v2): HELLO carries the highest version the client
-// speaks; the session runs min(client, kProtocolVersion) and rejects
-// only clients older than kMinProtocolVersion. A v2-only frame (BATCH)
-// arriving on a v1 session gets a typed ERROR(unsupported-version) and
-// the connection keeps serving.
+// Version negotiation: the session speaks v2 only. HELLO from a client
+// at v2 or above opens a v2 session; v0 and v1 get a typed
+// ERROR(protocol-version) and the connection keeps serving.
+//
+// One op path: a standalone PLACE or DEPART frame and every sub-op of a
+// BATCH run through the same executor (execute()), so the watermark
+// check, the engine call and the exception-to-error mapping are written
+// once and a served op behaves the same however it was framed.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -108,9 +112,14 @@ class Session {
   void processBufferedFrames();
   void handleFrame(const FrameView& frame);
   void handleHello(const FrameView& frame);
-  void handlePlace(const FrameView& frame);
-  void handleDepart(const FrameView& frame);
+  void handleOp(const FrameView& frame);  // a standalone PLACE or DEPART
   void handleBatch(const FrameView& frame);
+  /// The one op executor: runs a PLACE or DEPART against the tenant's
+  /// engine and fills `result`, or returns the typed error (out-of-order,
+  /// bad item, or internal, which also finishes the session). Counters
+  /// and the reply stay with the caller. Allocates nothing on success.
+  std::optional<ErrorFrame> execute(const BatchOp& op,
+                                    BatchResultEntry& result);
   void handleStats();
   void handleDrainRequest();
   void handleScrape();
@@ -140,8 +149,7 @@ class Session {
   std::uint32_t appliedInterest_ = 0;
 
   // Tenant session state, created by HELLO.
-  std::uint16_t negotiatedVersion_ = 0;  // 0 until HELLO succeeds
-  std::uint64_t tenantId_ = 0;
+  std::uint64_t tenantId_ = 0;  // 0 until HELLO succeeds (ids start at 1)
   std::string tenant_;
   PolicyPtr policy_;
   std::unique_ptr<StreamEngine> engine_;

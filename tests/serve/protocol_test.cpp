@@ -240,14 +240,14 @@ TEST(ServeProtocol, BackToBackFramesExtractInOrder) {
 TEST(ServeProtocol, ErrorCodeNames) {
   EXPECT_STREQ(errorCodeName(ErrorCode::kBadPolicySpec), "bad-policy-spec");
   EXPECT_STREQ(errorCodeName(ErrorCode::kOutOfOrder), "out-of-order");
-  EXPECT_STREQ(errorCodeName(ErrorCode::kUnsupportedVersion),
-               "unsupported-version");
+  // 13 is retired: it names nothing.
+  EXPECT_STREQ(errorCodeName(static_cast<ErrorCode>(13)), "unknown");
   EXPECT_STREQ(errorCodeName(static_cast<ErrorCode>(999)), "unknown");
 }
 
 TEST(ServeProtocol, NegotiateVersion) {
   EXPECT_EQ(negotiateVersion(0), 0);  // below the floor: reject
-  EXPECT_EQ(negotiateVersion(1), 1);  // v1 client: speak v1
+  EXPECT_EQ(negotiateVersion(1), 0);  // v1 is below the floor too
   EXPECT_EQ(negotiateVersion(2), 2);
   EXPECT_EQ(negotiateVersion(3), 2);   // future client: cap at ours
   EXPECT_EQ(negotiateVersion(999), 2);

@@ -8,8 +8,7 @@
 // isolated) — and, since the sharded redesign, that the shard count is
 // invisible to results: the 4-loop server below must match the 1-loop
 // server and the local engine decision for decision, whether sessions
-// are driven by pipelined PLACE/BATCH bursts or by the explicit Batch
-// builder.
+// are driven by one PLACE round trip per item or by BATCH frames.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -76,8 +75,8 @@ struct ServedRun {
 
 /// How a served session pushes its items down the wire.
 enum class Driver {
-  kPipelined,  ///< queuePlace/flushQueued/readPlaced (BATCH frames on v2)
-  kBatch,      ///< explicit Batch builder, one BATCH per burst
+  kLockstep,  ///< one client.place() round trip (standalone PLACE) per item
+  kBatch,     ///< explicit Batch builder, one BATCH per burst
 };
 
 Client openSession(Server& server, const std::string& spec,
@@ -106,20 +105,16 @@ ServedRun runServed(Server& server, const std::vector<StreamItem>& items,
 
   ServedRun run;
   std::uint64_t before = fitChecks();
-  // Bursts exercise frame coalescing on the wire (many frames or many
-  // sub-ops per read) rather than lockstep request/reply only.
+  // Batch bursts exercise many sub-ops per frame; lockstep exercises the
+  // standalone PLACE frame path the open-loop clients use.
   constexpr std::size_t kBurst = 64;
   std::size_t i = 0;
   while (i < items.size()) {
     std::size_t end = std::min(i + kBurst, items.size());
-    if (driver == Driver::kPipelined) {
+    if (driver == Driver::kLockstep) {
       for (std::size_t j = i; j < end; ++j) {
-        client.queuePlace(items[j].size, items[j].arrival,
-                          items[j].departure);
-      }
-      client.flushQueued();
-      for (std::size_t j = i; j < end; ++j) {
-        run.placements.push_back(client.readPlaced());
+        run.placements.push_back(
+            client.place(items[j].size, items[j].arrival, items[j].departure));
       }
     } else {
       Client::Batch batch = client.batch();
@@ -214,7 +209,7 @@ void sweepAgainstLocal(Server& server, Driver driver) {
 
 TEST(ServeDifferential, EverySpecAndEngineBitIdenticalToSimulateStream) {
   Server server(ServerOptionsBuilder().loopThreads(1).build());
-  sweepAgainstLocal(server, Driver::kPipelined);
+  sweepAgainstLocal(server, Driver::kLockstep);
 }
 
 TEST(ServeDifferential, FourShardServerBitIdenticalToSimulateStream) {
@@ -222,12 +217,12 @@ TEST(ServeDifferential, FourShardServerBitIdenticalToSimulateStream) {
   // one loop and share nothing but the tenant table and telemetry, so a
   // 4-loop daemon reproduces the local engine bit for bit too.
   Server server(ServerOptionsBuilder().loopThreads(4).build());
-  sweepAgainstLocal(server, Driver::kPipelined);
+  sweepAgainstLocal(server, Driver::kLockstep);
 }
 
 TEST(ServeDifferential, BatchDrivenSessionsBitIdenticalAcrossShards) {
-  // Same pin through the v2 Batch builder instead of the pipelined
-  // wrapper: sub-op results inside BATCH_OK are the same PLACED mirrors.
+  // Same pin through the Batch builder instead of standalone PLACE
+  // frames: sub-op results inside BATCH_OK are the same PLACED mirrors.
   Server server(ServerOptionsBuilder().loopThreads(4).build());
   sweepAgainstLocal(server, Driver::kBatch);
 }
@@ -260,12 +255,11 @@ TEST(ServeDifferential, ConcurrentTenantsFitCheckTotalsAddUp) {
       std::size_t i = 0;
       while (i < items.size()) {
         std::size_t end = std::min(i + kBurst, items.size());
+        Client::Batch batch = client.batch();
         for (std::size_t j = i; j < end; ++j) {
-          client.queuePlace(items[j].size, items[j].arrival,
-                            items[j].departure);
+          batch.place(items[j].size, items[j].arrival, items[j].departure);
         }
-        client.flushQueued();
-        while (client.queued() > 0) client.readPlaced();
+        EXPECT_EQ(batch.send().failed, 0);
         i = end;
       }
       client.drain();

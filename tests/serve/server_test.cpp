@@ -15,9 +15,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <limits>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -71,6 +74,28 @@ struct Harness {
   int clientFd = -1;
 };
 
+BatchOp placeOp(double size, double arrival, double departure) {
+  BatchOp op;
+  op.kind = kBatchOpPlace;
+  op.place = PlaceFrame{size, arrival, departure};
+  return op;
+}
+
+/// Puts one BATCH frame on the wire without reading its reply, for tests
+/// that split sending from reading; readBatchOk() collects the reply.
+void sendBatchRaw(Client& client, const BatchFrame& batch) {
+  std::vector<std::uint8_t> bytes;
+  appendBatch(bytes, batch);
+  client.sendRaw(bytes);
+}
+
+BatchOkFrame readBatchOk(Client& client) {
+  BatchOkFrame ok;
+  EXPECT_TRUE(
+      decodeBatchOk(client.expectFrame(FrameType::kBatchOk).view(), ok));
+  return ok;
+}
+
 void waitFor(const std::function<bool()>& done) {
   for (int i = 0; i < 2000; ++i) {
     if (done()) return;
@@ -115,7 +140,6 @@ TEST(ServeServer, EndToEndSessionMatchesLocalEngine) {
 
   HelloOkFrame ok = client.hello(makeHello("tenant-a", "cdt-ff"));
   EXPECT_EQ(ok.version, kProtocolVersion);
-  EXPECT_EQ(client.negotiatedVersion(), kProtocolVersion);
   EXPECT_GT(ok.tenantId, 0u);
 
   // The same item sequence through a local StreamEngine: the served
@@ -241,10 +265,10 @@ TEST(ServeServer, TypedErrorsKeepTheConnectionServing) {
     EXPECT_EQ(error.code, ErrorCode::kMalformedFrame);
   }
 
-  // Version below the floor: v0 is rejected (anything >= 1 negotiates).
-  {
+  // Versions below the floor: v0 and v1 are rejected (v2 is the floor).
+  for (int version : {0, 1}) {
     HelloFrame hello = makeHello("tenant", "ff");
-    hello.version = 0;
+    hello.version = static_cast<std::uint16_t>(version);
     EXPECT_THROW(
         {
           try {
@@ -346,49 +370,6 @@ TEST(ServeServer, TypedErrorsKeepTheConnectionServing) {
   EXPECT_EQ(stats.openConnections, 1u);  // never dropped
 }
 
-TEST(ServeServer, V1ClientNegotiatesDownAndKeepsWorking) {
-  Harness h;
-  Client client(h.clientFd);
-
-  HelloFrame hello = makeHello("legacy", "ff");
-  hello.version = 1;
-  HelloOkFrame ok = client.hello(hello);
-  EXPECT_EQ(ok.version, 1);
-  EXPECT_EQ(client.negotiatedVersion(), 1);
-
-  // The whole v1 surface keeps working.
-  PlacedFrame placed = client.place(0.5, 0.0, 4.0);
-  EXPECT_EQ(placed.bin, 0);
-  EXPECT_EQ(client.departUntil(2.0).openBins, 1u);
-
-  // A v2 frame on a v1 session is a typed rejection, not a disconnect.
-  {
-    BatchFrame batch;
-    BatchOp op;
-    op.place = PlaceFrame{0.25, 2.0, 6.0};
-    batch.ops = {op};
-    std::vector<std::uint8_t> bytes;
-    appendBatch(bytes, batch);
-    client.sendRaw(bytes);
-    OwnedFrame reply = client.readFrame();
-    ASSERT_EQ(reply.type, FrameType::kError);
-    ErrorFrame error;
-    ASSERT_TRUE(decodeError(reply.view(), error));
-    EXPECT_EQ(error.code, ErrorCode::kUnsupportedVersion);
-  }
-
-  // The session survived the rejection; the pipelined wrapper falls back
-  // to raw PLACE frames on a v1 session.
-  client.queuePlace(0.25, 3.0, 7.0);
-  client.queuePlace(0.25, 4.0, 8.0);
-  client.flushQueued();
-  EXPECT_EQ(client.readPlaced().item, 1u);
-  EXPECT_EQ(client.readPlaced().item, 2u);
-  DrainOkFrame drained = client.drain();
-  EXPECT_EQ(drained.items, 3u);
-  EXPECT_EQ(h.server.stats().batches, 0u);
-}
-
 TEST(ServeServer, FutureClientVersionCapsAtV2) {
   Harness h;
   Client client(h.clientFd);
@@ -462,12 +443,173 @@ TEST(ServeServer, BatchMidFailureReturnsCompletedPrefix) {
   EXPECT_EQ(drained.items, 2u);
 }
 
+/// What one PLACE/DEPART produced: a result, or a typed error.
+struct OpOutcome {
+  bool ok = false;
+  BatchResultEntry result;
+  ErrorCode code = ErrorCode::kInternal;
+  std::string message;
+};
+
+/// Sends `op` as a standalone PLACE or DEPART frame and reads its reply.
+OpOutcome runStandalone(Client& client, const BatchOp& op) {
+  std::vector<std::uint8_t> bytes;
+  if (op.kind == kBatchOpPlace) {
+    appendPlace(bytes, op.place);
+  } else {
+    appendDepart(bytes, op.depart);
+  }
+  client.sendRaw(bytes);
+  OwnedFrame reply = client.readFrame();
+  OpOutcome outcome;
+  outcome.result.kind = op.kind;
+  if (reply.type == FrameType::kError) {
+    ErrorFrame error;
+    EXPECT_TRUE(decodeError(reply.view(), error));
+    outcome.code = error.code;
+    outcome.message = error.message;
+  } else if (op.kind == kBatchOpPlace) {
+    outcome.ok = decodePlaced(reply.view(), outcome.result.placed);
+  } else {
+    outcome.ok = decodeDepartOk(reply.view(), outcome.result.depart);
+  }
+  return outcome;
+}
+
+TEST(ServeServer, StandaloneAndBatchRepliesAgreeIncludingFailures) {
+  // A seeded mix of valid places and departs with bad sizes, arrivals and
+  // departs behind the watermark, and NaN depart times. Sent op by op on
+  // one session and as BATCH frames on another, every op must produce the
+  // same result or the same (code, message): both framings run one
+  // executor.
+  std::mt19937_64 rng(20261017);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::vector<BatchOp> ops;
+  double now = 0;
+  for (int i = 0; i < 300; ++i) {
+    double pick = unit(rng);
+    BatchOp op;
+    op.kind = kBatchOpPlace;
+    if (pick < 0.55) {
+      now += 0.5 * unit(rng);
+      op.place = PlaceFrame{0.05 + 0.55 * unit(rng), now,
+                            now + kMinDuration + 7.0 * unit(rng)};
+    } else if (pick < 0.67) {
+      now += 2.0 * unit(rng);
+      op.kind = kBatchOpDepart;
+      op.depart = DepartFrame{now};
+    } else if (pick < 0.74) {
+      op.place = PlaceFrame{-unit(rng), now, now + 2.0};  // negative size
+    } else if (pick < 0.81) {
+      op.place = PlaceFrame{1.0 + unit(rng), now, now + 2.0};  // size > 1
+    } else if (pick < 0.89) {
+      op.place = PlaceFrame{0.3, now - 1.0 - unit(rng), now + 2.0};  // behind
+    } else if (pick < 0.95) {
+      op.kind = kBatchOpDepart;
+      op.depart = DepartFrame{std::numeric_limits<double>::quiet_NaN()};
+    } else {
+      op.kind = kBatchOpDepart;
+      op.depart = DepartFrame{now - 1.0};  // behind the watermark
+    }
+    ops.push_back(op);
+  }
+
+  Harness h;
+  Client single(h.clientFd);
+  Client batched(h.adoptAnother());
+  single.hello(makeHello("standalone", "cdt-ff"));
+  batched.hello(makeHello("batched", "cdt-ff"));
+
+  std::vector<OpOutcome> fromSingle;
+  for (const BatchOp& op : ops) fromSingle.push_back(runStandalone(single, op));
+
+  // BATCH frames of up to 64 ops; after a mid-batch failure the rest of
+  // that batch goes out again in a new frame.
+  std::vector<OpOutcome> fromBatch;
+  std::size_t next = 0;
+  while (next < ops.size()) {
+    std::size_t end = std::min(next + 64, ops.size());
+    Client::Batch batch = batched.batch();
+    for (std::size_t i = next; i < end; ++i) {
+      if (ops[i].kind == kBatchOpPlace) {
+        batch.place(ops[i].place.size, ops[i].place.arrival,
+                    ops[i].place.departure);
+      } else {
+        batch.depart(ops[i].depart.time);
+      }
+    }
+    BatchOkFrame ok = batch.send();
+    for (const BatchResultEntry& entry : ok.results) {
+      OpOutcome outcome;
+      outcome.ok = true;
+      outcome.result = entry;
+      fromBatch.push_back(outcome);
+    }
+    next += ok.results.size();
+    if (ok.failed != 0) {
+      ASSERT_EQ(ok.failedIndex, ok.results.size());
+      OpOutcome outcome;
+      outcome.result.kind = ops[next].kind;
+      outcome.code = ok.errorCode;
+      outcome.message = ok.errorMessage;
+      fromBatch.push_back(outcome);
+      ++next;
+    }
+  }
+
+  ASSERT_EQ(fromSingle.size(), ops.size());
+  ASSERT_EQ(fromBatch.size(), ops.size());
+  std::size_t badItems = 0;
+  std::size_t outOfOrder = 0;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const OpOutcome& a = fromSingle[i];
+    const OpOutcome& b = fromBatch[i];
+    ASSERT_EQ(a.ok, b.ok) << "op " << i;
+    ASSERT_EQ(a.result.kind, b.result.kind) << "op " << i;
+    if (!a.ok) {
+      EXPECT_EQ(a.code, b.code) << "op " << i;
+      EXPECT_EQ(a.message, b.message) << "op " << i;
+      badItems += a.code == ErrorCode::kBadItem ? 1 : 0;
+      outOfOrder += a.code == ErrorCode::kOutOfOrder ? 1 : 0;
+    } else if (a.result.kind == kBatchOpPlace) {
+      EXPECT_EQ(a.result.placed.item, b.result.placed.item) << "op " << i;
+      EXPECT_EQ(a.result.placed.bin, b.result.placed.bin) << "op " << i;
+      EXPECT_EQ(a.result.placed.openedNewBin, b.result.placed.openedNewBin)
+          << "op " << i;
+      EXPECT_EQ(a.result.placed.category, b.result.placed.category)
+          << "op " << i;
+    } else {
+      EXPECT_EQ(a.result.depart.drained, b.result.depart.drained)
+          << "op " << i;
+      EXPECT_EQ(a.result.depart.openBins, b.result.depart.openBins)
+          << "op " << i;
+    }
+  }
+  // The mix really exercised both failure codes.
+  EXPECT_GT(badItems, 10u);
+  EXPECT_GT(outOfOrder, 10u);
+
+  DrainOkFrame drainedSingle = single.drain();
+  DrainOkFrame drainedBatch = batched.drain();
+  EXPECT_EQ(drainedSingle.items, drainedBatch.items);
+  EXPECT_EQ(drainedSingle.totalUsage, drainedBatch.totalUsage);
+}
+
 TEST(ServeServer, BatchBuilderRefusesOversizeAndV1Sessions) {
   Harness h;
   Client client(h.clientFd);
 
-  // Before hello() there is no negotiated version: send() must refuse.
-  EXPECT_THROW(client.batch().place(0.5, 0.0, 1.0).send(), std::logic_error);
+  // Before hello() the server answers with a typed kUnknownTenant error.
+  EXPECT_THROW(
+      {
+        try {
+          client.batch().place(0.5, 0.0, 1.0).send();
+        } catch (const ServeError& e) {
+          EXPECT_EQ(e.code(), ErrorCode::kUnknownTenant);
+          throw;
+        }
+      },
+      ServeError);
 
   client.hello(makeHello("caps", "ff"));
   Client::Batch batch = client.batch();
@@ -477,73 +619,6 @@ TEST(ServeServer, BatchBuilderRefusesOversizeAndV1Sessions) {
   EXPECT_EQ(batch.size(), kMaxBatchOps + 1);
   EXPECT_THROW(batch.send(), std::logic_error);
   client.drain();
-}
-
-TEST(ServeServer, PipelinedWrapperMatchesV1PlacePath) {
-  Harness h;
-  Client v2(h.clientFd);
-  Client v1(h.adoptAnother());
-  v2.hello(makeHello("wrapper-v2", "cdt-ff"));
-  HelloFrame legacy = makeHello("wrapper-v1", "cdt-ff");
-  legacy.version = 1;
-  v1.hello(legacy);
-
-  // Identical queue/flush/read call sites; v2 travels as BATCH frames,
-  // v1 as raw PLACE frames. Placements must agree decision for decision.
-  std::vector<PlacedFrame> fromV2;
-  std::vector<PlacedFrame> fromV1;
-  constexpr std::size_t kItems = 500;  // > one burst, < kMaxBatchOps
-  for (std::size_t i = 0; i < kItems; ++i) {
-    double arrival = 0.1 * static_cast<double>(i);
-    double size = 0.05 + 0.11 * static_cast<double>(i % 9);
-    v2.queuePlace(size, arrival, arrival + 3.0);
-    v1.queuePlace(size, arrival, arrival + 3.0);
-  }
-  v2.flushQueued();
-  v1.flushQueued();
-  while (v2.queued() > 0) fromV2.push_back(v2.readPlaced());
-  while (v1.queued() > 0) fromV1.push_back(v1.readPlaced());
-
-  ASSERT_EQ(fromV2.size(), kItems);
-  ASSERT_EQ(fromV1.size(), kItems);
-  for (std::size_t i = 0; i < kItems; ++i) {
-    ASSERT_EQ(fromV2[i].item, fromV1[i].item) << "item " << i;
-    ASSERT_EQ(fromV2[i].bin, fromV1[i].bin) << "item " << i;
-    ASSERT_EQ(fromV2[i].openedNewBin, fromV1[i].openedNewBin) << "item " << i;
-    ASSERT_EQ(fromV2[i].category, fromV1[i].category) << "item " << i;
-  }
-  DrainOkFrame drainedV2 = v2.drain();
-  DrainOkFrame drainedV1 = v1.drain();
-  EXPECT_EQ(drainedV2.totalUsage, drainedV1.totalUsage);
-  EXPECT_EQ(drainedV2.binsOpened, drainedV1.binsOpened);
-  EXPECT_GE(h.server.stats().batches, 1u);
-}
-
-TEST(ServeServer, PipelinedFailureSurfacesAfterCompletedPrefix) {
-  Harness h;
-  Client client(h.clientFd);
-  client.hello(makeHello("pipeline-fail", "ff"));
-
-  client.queuePlace(0.5, 0.0, 4.0);
-  client.queuePlace(-1.0, 1.0, 3.0);  // will be rejected mid-batch
-  client.queuePlace(0.25, 2.0, 5.0);  // never runs server-side
-  client.flushQueued();
-
-  PlacedFrame first = client.readPlaced();
-  EXPECT_EQ(first.item, 0u);
-  EXPECT_THROW(
-      {
-        try {
-          client.readPlaced();
-        } catch (const ServeError& e) {
-          EXPECT_EQ(e.code(), ErrorCode::kBadItem);
-          throw;
-        }
-      },
-      ServeError);
-  EXPECT_EQ(client.queued(), 0u);  // unexecuted ops owe no replies
-  DrainOkFrame drained = client.drain();
-  EXPECT_EQ(drained.items, 1u);
 }
 
 TEST(ServeServer, OversizedFramePrefixShedsTheConnection) {
@@ -635,21 +710,23 @@ TEST(ServeServer, GracefulDrainAnswersInFlightRequestsAndExits) {
   Client client(h.clientFd);
   client.hello(makeHello("draining", "bf"));
 
-  // Pipeline a burst, then request the drain before reading anything:
+  // Send a burst, then request the drain before reading anything:
   // every fully-received request must still be answered.
   constexpr std::size_t kBurst = 500;
+  BatchFrame burst;
   for (std::size_t i = 0; i < kBurst; ++i) {
     double arrival = 0.01 * static_cast<double>(i);
-    client.queuePlace(0.2, arrival, arrival + 5.0);
+    burst.ops.push_back(placeOp(0.2, arrival, arrival + 5.0));
   }
-  client.flushQueued();
+  sendBatchRaw(client, burst);
   // Make sure the burst reached the loop before the drain flag does.
   waitFor([&] { return h.server.stats().placements >= 1; });
   h.server.requestDrain();
 
+  BatchOkFrame ok = readBatchOk(client);
+  ASSERT_EQ(ok.results.size(), kBurst);
   for (std::size_t i = 0; i < kBurst; ++i) {
-    PlacedFrame placed = client.readPlaced();
-    EXPECT_EQ(placed.item, i);
+    EXPECT_EQ(ok.results[i].placed.item, i);
   }
   // After the replies flush the server closes and the loop exits.
   EXPECT_THROW(client.readFrame(), std::runtime_error);
@@ -719,16 +796,19 @@ TEST(ServeServer, HalfCloseFlushesPendingRepliesBeforeClosing) {
   Harness h;
   Client client(h.clientFd);
   client.hello(makeHello("half-close", "ff"));
+  BatchFrame burst;
   for (int i = 0; i < 10; ++i) {
-    client.queuePlace(0.1, static_cast<double>(i), static_cast<double>(i) + 2.0);
+    burst.ops.push_back(
+        placeOp(0.1, static_cast<double>(i), static_cast<double>(i) + 2.0));
   }
-  client.flushQueued();
+  sendBatchRaw(client, burst);
   // Shut down the write side only: the server must answer what it already
   // received, then close.
   ASSERT_EQ(shutdown(client.fd(), SHUT_WR), 0);
+  BatchOkFrame ok = readBatchOk(client);
+  ASSERT_EQ(ok.results.size(), 10u);
   for (std::size_t i = 0; i < 10; ++i) {
-    PlacedFrame placed = client.readPlaced();
-    EXPECT_EQ(placed.item, i);
+    EXPECT_EQ(ok.results[i].placed.item, i);
   }
   EXPECT_THROW(client.readFrame(), std::runtime_error);
   waitFor([&] { return h.server.stats().openConnections == 0; });
@@ -827,17 +907,19 @@ TEST(ServeServer, MultiShardHalfCloseFlushesEveryConnection) {
   }
   for (std::size_t i = 0; i < clients.size(); ++i) {
     clients[i].hello(makeHello("hc-" + std::to_string(i), "ff"));
+    BatchFrame burst;
     for (int j = 0; j < 10; ++j) {
-      clients[i].queuePlace(0.1, static_cast<double>(j),
-                            static_cast<double>(j) + 2.0);
+      burst.ops.push_back(
+          placeOp(0.1, static_cast<double>(j), static_cast<double>(j) + 2.0));
     }
-    clients[i].flushQueued();
+    sendBatchRaw(clients[i], burst);
     ASSERT_EQ(shutdown(clients[i].fd(), SHUT_WR), 0);
   }
   for (Client& client : clients) {
+    BatchOkFrame ok = readBatchOk(client);
+    ASSERT_EQ(ok.results.size(), 10u);
     for (std::size_t j = 0; j < 10; ++j) {
-      PlacedFrame placed = client.readPlaced();
-      EXPECT_EQ(placed.item, j);
+      EXPECT_EQ(ok.results[j].placed.item, j);
     }
     EXPECT_THROW(client.readFrame(), std::runtime_error);
   }
@@ -914,15 +996,13 @@ TEST(ServeServer, DrainUnderLoadAcrossShards) {
         client.hello(makeHello("load-" + std::to_string(i), "ff"));
         double arrival = 0;
         while (true) {
+          Client::Batch batch = client.batch();
           for (int j = 0; j < 64; ++j) {
-            client.queuePlace(0.2, arrival, arrival + 5.0);
+            batch.place(0.2, arrival, arrival + 5.0);
             arrival += 0.01;
           }
-          client.flushQueued();
-          while (client.queued() > 0) {
-            client.readPlaced();
-            clientReads.fetch_add(1, std::memory_order_relaxed);
-          }
+          clientReads.fetch_add(batch.send().results.size(),
+                                std::memory_order_relaxed);
         }
       } catch (const std::exception&) {
         // The drain closed the connection mid-burst: expected.
