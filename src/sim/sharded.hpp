@@ -85,8 +85,8 @@ struct ShardedResult {
   /// Incremental Proposition 3 bound (0 when disabled).
   double lb3 = 0;
   /// High-water mark of simultaneously pending departures. Tracked by the
-  /// feed thread's lb3 heap, so only meaningful when computeLowerBound is
-  /// on; 0 otherwise.
+  /// feed thread's lb3 departure queue, so only meaningful when
+  /// computeLowerBound is on; 0 otherwise.
   std::size_t peakOpenItems = 0;
   /// Shards actually used (1 for non-partitionable policies).
   std::size_t shards = 0;

@@ -19,10 +19,10 @@ using stream_internal::Committed;
 // The timeline is replayed in (time, kind, item) order: departures before
 // arrivals at the same instant (half-open intervals: an item leaving at t
 // does not overlap one arriving at t), simultaneous departures in item-id
-// order — exactly the (time, id) pop order of the stream engine's heap, so
-// bin levels evolve through the identical sequence of floating-point
-// updates. Only the n departure records are sorted; the arrivals come in
-// (arrival, id) order and the loop merges the two.
+// order — exactly the (time, id) pop order of the stream engine's
+// departure queue, so bin levels evolve through the identical sequence of
+// floating-point updates. Only the n departure records are sorted; the
+// arrivals come in (arrival, id) order and the loop merges the two.
 struct Departure {
   Time time;
   ItemId item;

@@ -15,14 +15,14 @@ namespace cdbp {
 namespace {
 
 // Shared with the other engines (stream_internals.hpp): the commit kernel,
-// the item checks, the (time, id) departure heap ordering and the
-// incremental Proposition 3 accumulator must be the *same code* in every
-// engine for their placements and doubles to stay bitwise identical.
+// the item checks, the (time, id) departure queue and the incremental
+// Proposition 3 accumulator must be the *same code* in every engine for
+// their placements and doubles to stay bitwise identical.
 using stream_internal::announceItem;
 using stream_internal::commitPlacement;
 using stream_internal::Committed;
+using stream_internal::DepartureQueue;
 using stream_internal::IncrementalLb3;
-using stream_internal::laterDeparture;
 using stream_internal::PendingDeparture;
 using stream_internal::validateItem;
 
@@ -50,7 +50,7 @@ struct StreamEngine::Impl {
   OnlinePolicy& policy;
   StreamOptions options;
   BinManager bins;
-  std::vector<PendingDeparture> pending;  // min-heap via push_heap/pop_heap
+  DepartureQueue pending;
   // Per-bin usage, indexed by BinId and filled when the bin closes. Kept
   // so the final sum runs in bin-id order — the exact addition order of
   // Packing::totalUsage() — making the result double bit-identical to the
@@ -81,7 +81,7 @@ struct StreamEngine::Impl {
   }
 
   void noteResident() {
-    std::size_t bytes = pending.capacity() * sizeof(PendingDeparture) +
+    std::size_t bytes = pending.residentBytes() +
                         usageByBin.capacity() * sizeof(Time) +
                         bins.residentBytes();
     if (bytes > residentPeak) {
@@ -91,9 +91,7 @@ struct StreamEngine::Impl {
   }
 
   void popDeparture() {
-    std::pop_heap(pending.begin(), pending.end(), laterDeparture);
-    PendingDeparture dep = pending.back();
-    pending.pop_back();
+    const PendingDeparture dep = pending.pop();
     if (options.computeLowerBound) lb3.onEvent(dep.time, -dep.size);
     if (bins.removeItem(dep.bin, dep.size)) {
       usageByBin[static_cast<std::size_t>(dep.bin)] =
@@ -141,7 +139,7 @@ struct StreamEngine::Impl {
     // Exact-time draining: every departure at or before this arrival is
     // processed first (half-open intervals), replicating the batch
     // timeline's departures-before-arrivals order at equal instants.
-    while (!pending.empty() && pending.front().time <= r.arrival()) {
+    while (!pending.empty() && pending.nextTime() <= r.arrival()) {
       popDeparture();
     }
 
@@ -154,8 +152,7 @@ struct StreamEngine::Impl {
     CDBP_TELEM_HIST("sim.bins_scanned_per_placement", placed.probes);
     const BinId target = placed.record.bin;
     if (placed.record.openedNewBin) usageByBin.push_back(0);  // slot == id
-    pending.push_back({r.departure(), r.id, target, r.size});
-    std::push_heap(pending.begin(), pending.end(), laterDeparture);
+    pending.push({r.departure(), r.id, target, r.size});
     result.peakOpenItems = std::max(result.peakOpenItems, pending.size());
     CDBP_TELEM_GAUGE_SET("stream.open_items", pending.size());
     result.maxOpenBins = std::max(result.maxOpenBins, bins.openCount());
@@ -202,7 +199,7 @@ struct StreamEngine::Impl {
     lastArrival = time;
     sawEvent = true;
     std::size_t drained = 0;
-    while (!pending.empty() && pending.front().time <= time) {
+    while (!pending.empty() && pending.nextTime() <= time) {
       popDeparture();
       ++drained;
     }

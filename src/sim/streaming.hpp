@@ -3,7 +3,7 @@
 // simulateOnline materializes the whole Instance plus a flat 2n-event
 // timeline before the first placement — O(n) memory by construction.
 // simulateStream consumes arrivals incrementally from an ArrivalSource and
-// keeps only the live state: the open-bin set, a min-heap of pending
+// keeps only the live state: the open-bin set, a queue of pending
 // departures (one entry per arrived-but-not-departed item), and O(1)
 // accumulators. Resident memory is O(open bins + pending departures +
 // bins ever opened), never O(total items) — the term that caps batch
@@ -129,12 +129,13 @@ struct StreamResult {
   /// items" the stream had to remember at once. Bounded-memory runs show
   /// peakOpenItems << items.
   std::size_t peakOpenItems = 0;
-  /// Estimated peak bytes of simulator-owned state (departure heap +
-  /// usage ledger + bin metadata + placement index, via
+  /// Estimated peak bytes of simulator-owned state (departure queue
+  /// blocks + usage ledger + bin metadata + placement index, via
   /// BinManager::residentBytes). An estimate from container capacities,
   /// not an allocator measurement. The sharded engine reports 0 here (its
   /// state is spread across workers), and reports peakOpenItems only when
-  /// computeLowerBound is on (the feed thread's lb3 heap tracks it).
+  /// computeLowerBound is on (the feed thread's lb3 departure queue
+  /// tracks it).
   std::size_t peakResidentBytes = 0;
 };
 

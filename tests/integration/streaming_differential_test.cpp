@@ -18,11 +18,13 @@
 #include <vector>
 
 #include "online/policy_factory.hpp"
+#include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
 #include "sim/streaming.hpp"
 #include "sim/trace.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/rng.hpp"
 #include "workload/adversarial.hpp"
 #include "workload/generators.hpp"
 #include "workload/trace_io.hpp"
@@ -262,6 +264,94 @@ TEST(StreamingDifferential, PlacementRecordsMatchBatchDecisionTrace) {
   }
   expectStreamRecordsMatchBatchTrace(firstFitSliverTrap(12, 8.0),
                                      "sliver-trap");
+}
+
+// Tie-heavy timelines: arrivals and departures on a coarse grid, so many
+// items depart at one instant and arrive exactly when others depart; the
+// grid starts below zero and some departures are -0.0, which the (time,
+// id) order treats as equal to +0.0. The batch loop, the stream engine
+// and the sharded engine (1 and 3 workers) must agree bit for bit on
+// every placement and on totalUsage, and the stream and sharded engines
+// on lb3 and peakOpenItems — all three drain departures in (time, id)
+// order, the two incremental ones from the same departure queue.
+Instance tieHeavyInstance(std::uint64_t seed) {
+  Rng rng(seed);
+  InstanceBuilder builder;
+  for (int i = 0; i < 600; ++i) {
+    const Time arrival =
+        -16.0 + 0.25 * static_cast<double>(rng.uniformInt(0, 96));
+    Time departure =
+        arrival + 0.5 * static_cast<double>(rng.uniformInt(1, 10));
+    if (arrival < 0 && rng.chance(0.15)) departure = -0.0;
+    builder.add(0.05 * static_cast<double>(rng.uniformInt(1, 12)), arrival,
+                departure);
+  }
+  return builder.build();
+}
+
+void expectTieHeavyAgreement(const Instance& inst, const std::string& spec) {
+  Instance canonical(inst.sortedByArrival());
+  PolicyContext context = PolicyContext::forInstance(canonical);
+
+  PolicyPtr batchPolicy = makePolicy(spec, context);
+  const SimResult batch = simulateOnline(canonical, *batchPolicy);
+
+  PolicyPtr streamPolicy = makePolicy(spec, context);
+  StreamOptions streamOptions;
+  streamOptions.computeLowerBound = true;
+  std::vector<BinId> streamBins;
+  streamOptions.onPlacement = [&streamBins](ItemId, BinId bin, bool, int) {
+    streamBins.push_back(bin);
+  };
+  InstanceArrivalSource source(canonical);
+  const StreamResult stream =
+      simulateStream(source, *streamPolicy, streamOptions);
+
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(stream.totalUsage),
+            std::bit_cast<std::uint64_t>(batch.totalUsage));
+  EXPECT_EQ(stream.binsOpened, batch.binsOpened);
+  EXPECT_EQ(stream.maxOpenBins, batch.maxOpenBins);
+  ASSERT_EQ(streamBins.size(), canonical.size());
+  for (std::size_t i = 0; i < canonical.size(); ++i) {
+    ASSERT_EQ(streamBins[i], batch.packing.binOf(static_cast<ItemId>(i)))
+        << "stream, item " << i;
+  }
+
+  for (std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE("sharded t" + std::to_string(threads));
+    PolicyPtr shardedPolicy = makePolicy(spec, context);
+    ShardedOptions options;
+    options.threads = threads;
+    options.epochArrivals = 16;  // many epoch handovers inside tie runs
+    options.computeLowerBound = true;
+    options.capturePlacements = true;
+    ShardedSimulator sim(*shardedPolicy, options);
+    for (const Item& r : canonical.items()) sim.feed(r);
+    const ShardedResult sharded = sim.finish();
+
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(sharded.totalUsage),
+              std::bit_cast<std::uint64_t>(batch.totalUsage));
+    EXPECT_EQ(sharded.binsOpened, batch.binsOpened);
+    EXPECT_EQ(sharded.maxOpenBins, batch.maxOpenBins);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(sharded.lb3),
+              std::bit_cast<std::uint64_t>(stream.lb3));
+    EXPECT_EQ(sharded.peakOpenItems, stream.peakOpenItems);
+    ASSERT_EQ(sharded.binOf.size(), canonical.size());
+    for (std::size_t i = 0; i < canonical.size(); ++i) {
+      ASSERT_EQ(sharded.binOf[i], batch.packing.binOf(static_cast<ItemId>(i)))
+          << "item " << i;
+    }
+  }
+}
+
+TEST(StreamingDifferential, TieHeavyGridAgreesAcrossEngines) {
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    const Instance inst = tieHeavyInstance(seed);
+    for (const std::string spec : {"cdt-ff", "cd-ff"}) {
+      SCOPED_TRACE(spec + " / seed " + std::to_string(seed));
+      expectTieHeavyAgreement(inst, spec);
+    }
+  }
 }
 
 }  // namespace

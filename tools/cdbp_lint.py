@@ -59,6 +59,14 @@ mechanically over ``src/``, ``tests/``, ``bench/`` and ``examples/``:
                      they commit every placement through one function; a
                      second hand-written policy call or commit is where they
                      would start to drift.
+  departure-order-outside-queue
+                     No ``push_heap``/``pop_heap``/``make_heap``/
+                     ``priority_queue`` under ``src/sim/`` outside
+                     ``sim/stream_internals.hpp``. The stream and sharded
+                     engines drain pending departures in the batch
+                     timeline's (time, id) order from one
+                     ``DepartureQueue``; a second, hand-rolled queue is
+                     where that order would drift.
 
 Suppressing a finding
 ---------------------
@@ -150,6 +158,13 @@ COMMIT_DIR = "src/sim/"
 COMMIT_EXEMPT = ("src/sim/stream_internals.hpp", "src/sim/bin_manager.hpp",
                  "src/sim/bin_manager.cpp")
 
+# General-purpose heap primitives: departure order in the engines comes
+# from stream_internal::DepartureQueue only.
+HEAP_RE = re.compile(r"\b(?:push_heap|pop_heap|make_heap|priority_queue)\b")
+
+HEAP_DIR = "src/sim/"
+HEAP_EXEMPT = ("src/sim/stream_internals.hpp",)
+
 ALL_RULES = (
     "capacity-compare",
     "rng-discipline",
@@ -160,6 +175,7 @@ ALL_RULES = (
     "raw-bin-loop",
     "raw-number-parse",
     "commit-outside-kernel",
+    "departure-order-outside-queue",
 )
 
 
@@ -373,6 +389,20 @@ class FileLint:
                     "(sim/stream_internals.hpp) so every engine commits "
                     "placements with the same code")
 
+    def check_departure_order_outside_queue(self) -> None:
+        if not self.relpath.startswith(HEAP_DIR):
+            return
+        if self.relpath in HEAP_EXEMPT:
+            return
+        for idx, code in enumerate(self.code_lines, start=1):
+            if HEAP_RE.search(code):
+                self.report(
+                    idx, "departure-order-outside-queue",
+                    "heap primitive in an engine; pending departures go "
+                    "through stream_internal::DepartureQueue "
+                    "(sim/stream_internals.hpp) so every engine drains them "
+                    "in the same (time, id) order")
+
     def check_pragma_once(self) -> None:
         if not self.relpath.endswith((".hpp", ".h")):
             return
@@ -390,6 +420,7 @@ class FileLint:
         self.check_raw_bin_loop()
         self.check_raw_number_parse()
         self.check_commit_outside_kernel()
+        self.check_departure_order_outside_queue()
         self.check_pragma_once()
         return self.findings
 
@@ -436,6 +467,7 @@ FIXTURE_EXPECTATIONS = {
     "src/io/raw_parse_suppressed_ok.cpp": set(),
     "src/util/parse.hpp": set(),
     "src/sim/bad_commit.cpp": {"commit-outside-kernel"},
+    "src/sim/bad_heap.cpp": {"departure-order-outside-queue"},
     "src/sim/stream_internals.hpp": set(),
 }
 
