@@ -28,6 +28,7 @@ namespace {
 
 using stream_internal::announceItem;
 using stream_internal::commitPlacement;
+using stream_internal::Committed;
 using stream_internal::DepartureQueue;
 using stream_internal::IncrementalLb3;
 using stream_internal::PendingDeparture;
@@ -391,13 +392,7 @@ struct ShardedSimulator::Impl {
 
   // The StreamEngine::place loop restricted to one key group: identical
   // drain order and the same commit kernel, hence identical validation and
-  // counted policy queries (DESIGN.md §14). The per-placement scan
-  // histogram is not recorded here. The kernel, PlacementView and the
-  // policy already issue about seven shared relaxed read-modify-writes per
-  // cdt-ff placement, plus one per departure, on every worker; on
-  // sharded-dense at 3 workers (4-core x86 container) that telemetry costs
-  // about 50 ns of a 240 ns item (4.1-4.2M items/s against 5.2-5.4M with
-  // CDBP_TELEMETRY=OFF). One more contended histogram would add to it.
+  // counted policy queries (DESIGN.md §14).
   void processSlice(Shard& shard, const Slice& slice) {
     const bool capture = options.capturePlacements;
     for (std::size_t i = 0; i < slice.count; ++i) {
@@ -408,10 +403,12 @@ struct ShardedSimulator::Impl {
 
       const Item announced(slice.ids[i], slice.sizes[i], arrival,
                            slice.announcedDepartures[i]);
-      const PlacementRecord placed =
-          commitPlacement(shard.bins, *shard.policy, announced).record;
-      const BinId target = placed.bin;
-      if (placed.openedNewBin) {
+      const Committed placed =
+          commitPlacement(shard.bins, *shard.policy, announced);
+      // Scan cost of this placement: the probes its view counted.
+      CDBP_TELEM_HIST("sim.bins_scanned_per_placement", placed.probes);
+      const BinId target = placed.record.bin;
+      if (placed.record.openedNewBin) {
         shard.usageByBin.push_back(0);
         shard.opens.push_back({arrival, slice.ids[i]});
       }
@@ -538,6 +535,10 @@ struct ShardedSimulator::Impl {
     result.totalUsage = totalUsage;
     result.binsOpened = static_cast<std::size_t>(nextGlobal);
     result.maxOpenBins = maxOpen;
+    // Each shard's BinManager set the process-wide gauge to its own local
+    // count; leave the engine's merged peak and its drained level instead.
+    CDBP_TELEM_GAUGE_SET("sim.open_bins", maxOpen);
+    CDBP_TELEM_GAUGE_SET("sim.open_bins", 0);
     result.categoriesUsed = 0;
     for (const auto& shard : shards) {
       result.categoriesUsed += shard->bins.categoriesOpened();

@@ -1,6 +1,7 @@
 #include "telemetry/registry.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "telemetry/clock.hpp"
 
@@ -22,7 +23,58 @@ auto& findOrCreate(Map& map, std::string_view name) {
   return *it->second;
 }
 
+// Which owned slots (1..kSlots-1) have a live owner. Leaked like the
+// global registry, so threads that exit during static destruction can
+// still return their slot.
+struct SlotTable {
+  Mutex mu;
+  std::array<bool, kSlots> taken CDBP_GUARDED_BY(mu) = {};
+};
+
+SlotTable& slotTable() {
+  static SlotTable* table = new SlotTable();
+  return *table;
+}
+
+// Returns the owning thread's slot at thread exit. Metric updates from
+// thread-exit code that runs after this destructor take the shared slot.
+struct SlotOwner {
+  std::uint32_t slot = 0;
+
+  ~SlotOwner() {
+    detail::tlsSlot = 0;
+    if (slot == 0) return;
+    SlotTable& table = slotTable();
+    MutexLock lock(table.mu);
+    table.taken[slot] = false;
+  }
+};
+
+thread_local SlotOwner slotOwner;
+
 }  // namespace
+
+namespace detail {
+
+std::uint32_t claimSlot() noexcept {
+  std::uint32_t slot = 0;
+  {
+    SlotTable& table = slotTable();
+    MutexLock lock(table.mu);
+    for (std::uint32_t s = 1; s < kSlots; ++s) {
+      if (!table.taken[s]) {
+        table.taken[s] = true;
+        slot = s;
+        break;
+      }
+    }
+  }
+  slotOwner.slot = slot;  // first use constructs it and registers its exit
+  tlsSlot = slot;
+  return slot;
+}
+
+}  // namespace detail
 
 std::uint64_t RegistrySnapshot::counter(std::string_view name) const {
   for (const auto& [n, v] : counters) {

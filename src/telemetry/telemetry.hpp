@@ -9,7 +9,8 @@
 //   CDBP_TELEM_SCOPED_TIMER(var, name)   RAII wall-clock timer -> histogram
 //
 // Each macro resolves the metric once per call site (function-local static
-// reference into the global registry) and then updates a relaxed atomic.
+// reference into the global registry) and then updates the calling
+// thread's cell of it (registry.hpp).
 // With CDBP_TELEMETRY=0 every macro expands to nothing: no statics, no
 // atomics, no clock reads — the zero-cost guarantee the bench_throughput
 // telemetry-off comparison checks.

@@ -8,6 +8,7 @@
 #include "offline/dual_coloring.hpp"
 #include "online/any_fit.hpp"
 #include "online/classify_departure.hpp"
+#include "online/policy_factory.hpp"
 #include "sim/simulator.hpp"
 #include "sim/streaming.hpp"
 #include "telemetry/bench_report.hpp"
@@ -154,6 +155,26 @@ TEST(TelemetryInstrumentation, OpenBinsGaugeIsZeroAfterDrain) {
         EXPECT_GE(g.max, 1);
       }
     }
+  }
+}
+
+TEST(TelemetryInstrumentation, ShardedOpenBinsGaugeHoldsTheMergedPeak) {
+  // Each shard's bin manager sees only its own bins; after the run the
+  // gauge holds the engine-wide peak and the drained level.
+  WorkloadSpec spec;
+  spec.numItems = 4000;
+  spec.mu = 16.0;
+  const Instance inst(generateWorkload(spec, 5).sortedByArrival());
+  PolicyPtr policy = makePolicy("cdt-ff", PolicyContext::forInstance(inst));
+  SimOptions options;
+  options.engine = PlacementEngine::kSharded;
+  options.shardedThreads = 3;
+  Registry::global().gauge("sim.open_bins").reset();
+  const SimResult result = simulateOnline(inst, *policy, options);
+  const telemetry::Gauge& gauge = Registry::global().gauge("sim.open_bins");
+  EXPECT_EQ(gauge.value(), 0);
+  if constexpr (telemetry::kEnabled) {
+    EXPECT_GE(gauge.max(), static_cast<std::int64_t>(result.maxOpenBins));
   }
 }
 

@@ -1,13 +1,20 @@
 // Concurrency exercise for the telemetry update path; runs under the tsan
 // preset (the TelemetryConcurrency suite is in the sanitizer priority
-// regex). All updates are relaxed atomics — TSan must stay silent.
+// regex). Shared-slot updates are relaxed read-modify-writes, owned-slot
+// updates relaxed loads plus stores, reads atomic loads — TSan must stay
+// silent.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <barrier>
 #include <cstdint>
+#include <set>
 #include <thread>
 #include <vector>
 
 #include "online/policy_factory.hpp"
+#include "sim/simulator.hpp"
 #include "sim/streaming.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/telemetry.hpp"
@@ -171,6 +178,154 @@ TEST(TelemetryConcurrency, ConcurrentStreamsRecordTheirOwnProbes) {
     EXPECT_EQ(scanned.count() - countBefore, 2 * kItems);
     EXPECT_EQ(scanned.sum() - sumBefore, fitChecks.value() - checksBefore);
     EXPECT_GT(fitChecks.value() - checksBefore, 2 * kItems);
+  }
+}
+
+TEST(TelemetryConcurrency, MoreLiveThreadsThanSlotsStayExact) {
+  // 3·kSlots threads hold their slots at once (the barrier keeps every one
+  // live until all have claimed), so at most kSlots-1 own a slot and the
+  // rest share slot 0. Owned slots are never shared, and the totals are
+  // exact across both update paths.
+  constexpr std::size_t kLive = 3 * kSlots;
+  constexpr std::uint64_t kPer = 5000;
+  Registry reg;
+  Counter& c = reg.counter("live");
+  Histogram& h = reg.histogram("live");
+  std::barrier allClaimed(static_cast<std::ptrdiff_t>(kLive));
+  std::vector<std::size_t> slots(kLive);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kLive; ++t) {
+    threads.emplace_back([&, t] {
+      slots[t] = detail::threadSlot();
+      allClaimed.arrive_and_wait();
+      for (std::uint64_t i = 0; i < kPer; ++i) {
+        c.add();
+        h.record(t * kPer + i);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  std::set<std::size_t> owned;
+  for (std::size_t slot : slots) {
+    ASSERT_LT(slot, kSlots);
+    if (slot != 0) {
+      EXPECT_TRUE(owned.insert(slot).second) << "slot " << slot;
+    }
+  }
+  EXPECT_GE(static_cast<std::size_t>(std::count(slots.begin(), slots.end(),
+                                                std::size_t{0})),
+            kLive - (kSlots - 1));
+  if constexpr (kEnabled) {
+    const std::uint64_t n = kLive * kPer;
+    EXPECT_EQ(c.value(), n);
+    EXPECT_EQ(h.count(), n);
+    EXPECT_EQ(h.sum(), n * (n - 1) / 2);
+    EXPECT_EQ(h.min(), 0u);
+    EXPECT_EQ(h.max(), n - 1);
+    std::uint64_t buckets = 0;
+    for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
+      buckets += h.bucketCount(b);
+    }
+    EXPECT_EQ(buckets, n);
+  }
+}
+
+TEST(TelemetryConcurrency, ShortLivedThreadsReuseSlots) {
+  // 500 threads, one after another: each returns its slot at exit, so each
+  // finds an owned slot free, and the cells its predecessors left behind
+  // keep their counts.
+  constexpr std::uint64_t kRuns = 500;
+  constexpr std::uint64_t kPer = 100;
+  Registry reg;
+  Counter& c = reg.counter("reuse");
+  Histogram& h = reg.histogram("reuse");
+  for (std::uint64_t t = 0; t < kRuns; ++t) {
+    std::size_t slot = 0;
+    std::thread([&] {
+      for (std::uint64_t i = 0; i < kPer; ++i) c.add();
+      h.record(t);
+      slot = detail::threadSlot();
+    }).join();
+    ASSERT_NE(slot, 0u) << "thread " << t << " found no free slot";
+  }
+  if constexpr (kEnabled) {
+    EXPECT_EQ(c.value(), kRuns * kPer);
+    EXPECT_EQ(h.count(), kRuns);
+    EXPECT_EQ(h.sum(), kRuns * (kRuns - 1) / 2);
+    EXPECT_EQ(h.min(), 0u);
+    EXPECT_EQ(h.max(), kRuns - 1);
+  }
+}
+
+TEST(TelemetryConcurrency, SnapshotsNeverDecreaseWhileWriting) {
+  Registry reg;
+  Counter& c = reg.counter("mono");
+  Histogram& h = reg.histogram("mono");
+  constexpr std::uint64_t kWrites = 5 * kIters;
+  std::atomic<int> running{kThreads};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&] {
+      for (std::uint64_t i = 0; i < kWrites; ++i) {
+        c.add();
+        h.record(i);
+      }
+      running.fetch_sub(1, std::memory_order_relaxed);
+    });
+  }
+  std::uint64_t counter = 0;
+  std::uint64_t count = 0;
+  std::uint64_t sum = 0;
+  std::size_t snapshots = 0;
+  do {
+    RegistrySnapshot snap = reg.snapshot();
+    ASSERT_EQ(snap.histograms.size(), 1u);
+    const HistogramSnapshot& hs = snap.histograms[0].second;
+    EXPECT_GE(snap.counter("mono"), counter);
+    EXPECT_GE(hs.count, count);
+    EXPECT_GE(hs.sum, sum);
+    counter = snap.counter("mono");
+    count = hs.count;
+    sum = hs.sum;
+    ++snapshots;
+  } while (running.load(std::memory_order_relaxed) > 0);
+  for (std::thread& t : writers) t.join();
+  EXPECT_GE(snapshots, 1u);
+  if constexpr (kEnabled) {
+    EXPECT_EQ(c.value(), kThreads * kWrites);
+    EXPECT_EQ(h.count(), kThreads * kWrites);
+    EXPECT_EQ(h.sum(), kThreads * (kWrites * (kWrites - 1) / 2));
+  }
+}
+
+TEST(TelemetryConcurrency, ShardedWorkersRecordTheirOwnProbes) {
+  // The sharded engine's workers record one scan sample per placement from
+  // the kernel's probes, and the samples add up to the fit checks the run
+  // issued.
+  constexpr std::size_t kItems = 20000;
+  Histogram& scanned =
+      Registry::global().histogram("sim.bins_scanned_per_placement");
+  Counter& fitChecks = Registry::global().counter("sim.fit_checks");
+  WorkloadSpec spec;
+  spec.numItems = kItems;
+  spec.mu = 8.0;
+  const Instance inst(generateWorkload(spec, 3).sortedByArrival());
+  PolicyPtr policy = makePolicy("cdt-ff", PolicyContext::forInstance(inst));
+  SimOptions options;
+  options.engine = PlacementEngine::kSharded;
+  options.shardedThreads = 3;
+  const std::uint64_t countBefore = scanned.count();
+  const std::uint64_t sumBefore = scanned.sum();
+  const std::uint64_t checksBefore = fitChecks.value();
+
+  const SimResult result = simulateOnline(inst, *policy, options);
+
+  EXPECT_GE(result.binsOpened, 1u);
+  if constexpr (kEnabled) {
+    EXPECT_EQ(scanned.count() - countBefore, kItems);
+    EXPECT_EQ(scanned.sum() - sumBefore, fitChecks.value() - checksBefore);
+    EXPECT_GT(fitChecks.value() - checksBefore, 0u);
   }
 }
 
