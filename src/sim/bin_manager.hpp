@@ -82,14 +82,23 @@ class BasicBinManager {
     bool open = false;
   };
 
-  /// All open bins in opening order.
-  const std::vector<BinId>& openBins() const { return open_; }
+  /// All open bins in opening order. Compacts the list first (closed ids
+  /// leave it lazily), so a read is not safe concurrently with another
+  /// read of the same manager. The reference is valid until the next
+  /// mutation.
+  const std::vector<BinId>& openBins() const {
+    compact(open_);
+    return open_.ids;
+  }
 
   /// Open bins of one category in opening order (empty list if none).
+  /// Compacts like openBins().
   const std::vector<BinId>& openBins(int category) const {
     static const std::vector<BinId> kEmpty;
     auto it = openByCategory_.find(category);
-    return it == openByCategory_.end() ? kEmpty : it->second;
+    if (it == openByCategory_.end()) return kEmpty;
+    compact(it->second);
+    return it->second.ids;
   }
 
   /// Metadata of a bin (open or closed).
@@ -131,15 +140,16 @@ class BasicBinManager {
   std::size_t binsOpened() const { return bins_.size(); }
 
   /// Currently open bin count.
-  std::size_t openCount() const { return open_.size(); }
+  std::size_t openCount() const { return open_.ids.size() - open_.stale; }
 
   /// Heap bytes the manager holds: per-bin metadata (O(bins opened)), the
-  /// open lists and, when indexed, the placement index (O(open bins)).
+  /// open lists (O(peak open bins): each is at most half closed ids) and,
+  /// when indexed, the placement index (O(open bins)).
   /// Capacities, not sizes, so the figure is what the allocator handed
   /// out. O(1).
   std::size_t residentBytes() const {
     std::size_t bytes = bins_.capacity() * sizeof(BinInfo) +
-                        open_.capacity() * sizeof(BinId) + categoryBytes_;
+                        open_.ids.capacity() * sizeof(BinId) + categoryBytes_;
     if constexpr (R::kIndexable) {
       if (indexed_) bytes += index_.residentBytes();
     }
@@ -157,19 +167,20 @@ class BasicBinManager {
   BinId openBin(int category, Time now) {
     BinId id = static_cast<BinId>(bins_.size());
     bins_.push_back(BinInfo{id, category, R::zeroLevel(shape_), 0, now, true});
-    open_.push_back(id);
+    open_.ids.push_back(id);
     auto [it, added] = openByCategory_.try_emplace(category);
-    const std::size_t capacityBefore = it->second.capacity();
-    it->second.push_back(id);
+    std::vector<BinId>& list = it->second.ids;
+    const std::size_t capacityBefore = list.capacity();
+    list.push_back(id);
     // Map node (value plus three links and a color word) and list growth.
     categoryBytes_ +=
         (added ? sizeof(*it) + 4 * sizeof(void*) : 0) +
-        (it->second.capacity() - capacityBefore) * sizeof(BinId);
+        (list.capacity() - capacityBefore) * sizeof(BinId);
     if constexpr (R::kIndexable) {
       if (indexed_) index_.onOpen(id, category);
     }
     CDBP_TELEM_COUNT("sim.bins_opened", 1);
-    CDBP_TELEM_GAUGE_SET("sim.open_bins", open_.size());
+    CDBP_TELEM_GAUGE_SET("sim.open_bins", openCount());
     return id;
   }
 
@@ -214,25 +225,48 @@ class BasicBinManager {
     if constexpr (R::kIndexable) {
       if (indexed_) index_.onClose(id);
     }
-    auto openIt = std::find(open_.begin(), open_.end(), id);
-    CDBP_DCHECK(openIt != open_.end(), "removeItem: bin ", id,
-                " missing from the open list");
-    open_.erase(openIt);
-    auto& cat = openByCategory_[bin.category];
-    auto catIt = std::find(cat.begin(), cat.end(), id);
-    CDBP_DCHECK(catIt != cat.end(), "removeItem: bin ", id,
-                " missing from category ", bin.category, "'s open list");
-    cat.erase(catIt);
+    // The id stays in both open lists until they are compacted: O(1)
+    // amortized per close instead of a find-and-erase over each list.
+    markStale(open_);
+    markStale(openByCategory_.find(bin.category)->second);
     CDBP_TELEM_COUNT("sim.bins_closed", 1);
-    CDBP_TELEM_GAUGE_SET("sim.open_bins", open_.size());
+    CDBP_TELEM_GAUGE_SET("sim.open_bins", openCount());
     return true;
   }
 
  private:
+  // An open list in opening order whose closed ids are removed lazily:
+  // `stale` of its entries are closed bins. A close compacts the list once
+  // half of it is stale, and every read compacts it first, so readers see
+  // open bins only and the list never holds more than twice its open bins.
+  struct OpenList {
+    std::vector<BinId> ids;
+    std::size_t stale = 0;
+  };
+
+  void markStale(OpenList& list) {
+    ++list.stale;
+    if (2 * list.stale >= list.ids.size()) compact(list);
+  }
+
+  // Drops the closed ids, keeping opening order. O(list) when stale.
+  void compact(OpenList& list) const {
+    if (list.stale == 0) return;
+    const auto kept = std::remove_if(
+        list.ids.begin(), list.ids.end(), [this](BinId id) {
+          return !bins_[static_cast<std::size_t>(id)].open;
+        });
+    CDBP_DCHECK(static_cast<std::size_t>(list.ids.end() - kept) == list.stale,
+                "BinManager: an open list's stale count is off");
+    list.ids.erase(kept, list.ids.end());
+    list.stale = 0;
+  }
+
   Shape shape_;
   std::vector<BinInfo> bins_;
-  std::vector<BinId> open_;
-  std::map<int, std::vector<BinId>> openByCategory_;
+  // Mutable: reads compact them, which changes no observable state.
+  mutable OpenList open_;
+  mutable std::map<int, OpenList> openByCategory_;
   std::size_t categoryBytes_ = 0;  ///< openByCategory_'s heap, for residentBytes
   bool indexed_ = true;
   BinSearchIndexT<R> index_;

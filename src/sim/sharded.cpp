@@ -16,6 +16,7 @@
 #include "sim/bin_manager.hpp"
 #include "sim/stream_internals.hpp"
 #include "sim/streaming.hpp"
+#include "telemetry/clock.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/arena.hpp"
 #include "util/mutex.hpp"
@@ -34,27 +35,46 @@ using stream_internal::IncrementalLb3;
 using stream_internal::PendingDeparture;
 using stream_internal::validateItem;
 
+// A clock read for the stage counters; no read without telemetry.
+std::uint64_t stageNanos() {
+  if constexpr (telemetry::kEnabled) return telemetry::monotonicNanos();
+  return 0;
+}
+
 // Workers are per-shard FIFO loops, so more shards than this only adds
 // queue bookkeeping; a backstop against absurd --threads values.
 constexpr std::size_t kMaxShards = 64;
 
 // One epoch's worth of arrivals, packed by the feed thread into per-shard
-// structure-of-arrays slices backed by the buffer's arena. Workers read
-// their slice only; the buffer returns to the free pool when the last
-// shard releases it (publication ordered by the shard queue mutexes on the
-// way in and releaseMutex on the way out).
-struct Slice {
+// structure-of-arrays slices backed by the buffer's arena. A worker reads
+// its slice's arrivals and, with the lower bound on, writes the departures
+// it drains into the slice's log; nothing else. The feed takes the buffer
+// back once shardsLeft reaches 0 (an acquire load that pairs with every
+// worker's release decrement).
+//
+// Aligned to a cache line: neighbouring shards append to their logs
+// concurrently, and the vector headers must not share a line.
+struct alignas(64) Slice {
   ItemId* ids = nullptr;
   Size* sizes = nullptr;
   Time* arrivals = nullptr;
   Time* departures = nullptr;          // true departures (drive the system)
   Time* announcedDepartures = nullptr; // what the policy is shown
   std::size_t count = 0;
+  // Lower bound on: every departure the shard drained for this epoch, in
+  // its (time, id) drain order — exactly those in (A(e-1), A(e)], where
+  // A(e) is the epoch's last arrival.
+  std::vector<PendingDeparture> drained;
 };
 
 struct EpochBuffer {
   MonotonicArena arena;
   std::vector<Slice> slices;  // indexed by shard
+  Time lastArrival = 0;       // A(e): every shard drains up to it
+  // Lower bound on: the epoch's arrivals in feed order, for the merge.
+  Time* arrivals = nullptr;
+  Size* sizes = nullptr;
+  std::size_t count = 0;
   std::atomic<std::size_t> shardsLeft{0};
 };
 
@@ -88,6 +108,7 @@ struct ShardedSimulator::Impl {
     std::vector<OpenRec> opens;             // local bin id -> open record
     std::vector<CloseRec> closes;
     std::vector<std::pair<ItemId, BinId>> placements;  // capture mode
+    std::vector<PendingDeparture> finalDrained;  // the trailing drain's log
 
     // FIFO work queue: epoch buffers plus one trailing drain marker
     // (buffer == nullptr). `running` keeps at most one worker task alive
@@ -127,20 +148,30 @@ struct ShardedSimulator::Impl {
   ItemId maxId = 0;
   bool finished = false;
 
-  // Feed-side Proposition 3 bound: the same departure queue and the same
-  // accumulator code as StreamEngine, so the double is bitwise identical.
+  // Feed-side Proposition 3 bound: StreamEngine's accumulator, fed the
+  // same event sequence by merging the shards' departure logs with each
+  // epoch's arrivals, so the double is bitwise identical. `liveItems`
+  // counts arrived-but-not-departed items in that sequence.
   IncrementalLb3 lb3;
-  DepartureQueue lb3Pending;
+  std::size_t liveItems = 0;
+  struct LogCursor {
+    const PendingDeparture* next;
+    const PendingDeparture* end;
+  };
+  std::vector<LogCursor> cursors;  // merge scratch, one per non-empty log
 
-  // Epoch buffer pool: owned here, cycled feed -> shards -> free list.
-  Mutex bufMutex;
-  std::condition_variable_any bufAvailable;
-  std::vector<std::unique_ptr<EpochBuffer>> allBuffers CDBP_GUARDED_BY(bufMutex);
-  std::vector<EpochBuffer*> freeBuffers CDBP_GUARDED_BY(bufMutex);
-  std::size_t buffersHandedOut CDBP_GUARDED_BY(bufMutex) = 0;
+  // Epoch buffers, cycled feed -> shards -> feed. Only the feed thread
+  // touches these two: buffers go out in dispatch order and come back
+  // oldest first. Every shard takes every epoch and works through its
+  // queue in order, so epochs finish in dispatch order too.
+  std::vector<std::unique_ptr<EpochBuffer>> buffers;
+  std::deque<EpochBuffer*> inFlight;
+  // Signalled when a buffer's last shard finishes it.
+  Mutex epochMutex;
+  std::condition_variable_any epochDone;
 
   // First worker error wins; later slices become cheap no-ops but still
-  // release their buffers so the feed thread can never block forever.
+  // count down their buffers so the feed thread can never block forever.
   Mutex errMutex;
   std::exception_ptr firstError CDBP_GUARDED_BY(errMutex);
   std::atomic<bool> failed{false};
@@ -246,20 +277,6 @@ struct ShardedSimulator::Impl {
     ++result.items;
     maxId = std::max(maxId, item.id);
 
-    if (options.computeLowerBound) {
-      // Identical event order to StreamEngine: departures due at or
-      // before this arrival first, then the arrival's size delta.
-      while (!lb3Pending.empty() &&
-             lb3Pending.nextTime() <= item.arrival()) {
-        const PendingDeparture dep = lb3Pending.pop();
-        lb3.onEvent(dep.time, -dep.size);
-      }
-      lb3.onEvent(item.arrival(), item.size);
-      lb3Pending.push({item.departure(), item.id, 0, item.size});
-      result.peakOpenItems =
-          std::max(result.peakOpenItems, lb3Pending.size());
-    }
-
     if (staged.size() >= options.epochArrivals) dispatchEpoch();
   }
 
@@ -280,29 +297,38 @@ struct ShardedSimulator::Impl {
     sawItem = true;
   }
 
+  // A fresh buffer while fewer than maxEpochsInFlight are out, else the
+  // oldest one back.
   EpochBuffer* acquireBuffer() {
-    MutexLock lock(bufMutex);
-    while (freeBuffers.empty() &&
-           buffersHandedOut >= options.maxEpochsInFlight) {
-      bufAvailable.wait(bufMutex);
+    if (inFlight.size() < options.maxEpochsInFlight) {
+      buffers.push_back(std::make_unique<EpochBuffer>());
+      buffers.back()->slices.resize(shards.size());
+      return buffers.back().get();
     }
-    EpochBuffer* buf;
-    if (!freeBuffers.empty()) {
-      buf = freeBuffers.back();
-      freeBuffers.pop_back();
-    } else {
-      allBuffers.push_back(std::make_unique<EpochBuffer>());
-      buf = allBuffers.back().get();
-    }
-    ++buffersHandedOut;
-    return buf;
+    return retireOldest();
   }
 
-  void releaseBuffer(EpochBuffer* buf) {
-    MutexLock lock(bufMutex);
-    freeBuffers.push_back(buf);
-    --buffersHandedOut;
-    bufAvailable.notify_one();
+  // Waits until every shard is done with the oldest buffer in flight,
+  // then folds its epoch into the lower bound. The merge runs without
+  // epochMutex: the workers are done with the buffer.
+  EpochBuffer* retireOldest() {
+    EpochBuffer* buf = inFlight.front();
+    inFlight.pop_front();
+    const std::uint64_t waitStart = stageNanos();
+    {
+      MutexLock lock(epochMutex);
+      while (buf->shardsLeft.load(std::memory_order_acquire) != 0) {
+        epochDone.wait(epochMutex);
+      }
+    }
+    const std::uint64_t mergeStart = stageNanos();
+    CDBP_TELEM_COUNT("sim.sharded.feed_wait_ns", mergeStart - waitStart);
+    rethrowIfFailed();  // a failed epoch's logs are incomplete
+    if (options.computeLowerBound) {
+      mergeEpoch(*buf);
+      CDBP_TELEM_COUNT("sim.sharded.lb3_merge_ns", stageNanos() - mergeStart);
+    }
+    return buf;
   }
 
   void dispatchEpoch() {
@@ -310,13 +336,14 @@ struct ShardedSimulator::Impl {
     ++result.epochs;
     EpochBuffer* buf = acquireBuffer();
     buf->arena.reset();
-    buf->slices.assign(shards.size(), Slice{});
+    for (Slice& slice : buf->slices) {
+      slice.count = 0;
+      slice.drained.clear();
+    }
 
     for (const Staged& st : staged) ++buf->slices[st.shard].count;
-    std::size_t nonEmpty = 0;
     for (Slice& slice : buf->slices) {
       if (slice.count == 0) continue;
-      ++nonEmpty;
       slice.ids = buf->arena.allocate<ItemId>(slice.count);
       slice.sizes = buf->arena.allocate<Size>(slice.count);
       slice.arrivals = buf->arena.allocate<Time>(slice.count);
@@ -333,12 +360,24 @@ struct ShardedSimulator::Impl {
       slice.announcedDepartures[slice.count] = st.announcedDeparture;
       ++slice.count;
     }
+    buf->lastArrival = staged.back().arrival;
+    buf->count = 0;
+    if (options.computeLowerBound) {
+      buf->count = staged.size();
+      buf->arrivals = buf->arena.allocate<Time>(buf->count);
+      buf->sizes = buf->arena.allocate<Size>(buf->count);
+      for (std::size_t i = 0; i < buf->count; ++i) {
+        buf->arrivals[i] = staged[i].arrival;
+        buf->sizes[i] = staged[i].size;
+      }
+    }
     staged.clear();
 
-    buf->shardsLeft.store(nonEmpty, std::memory_order_relaxed);
-    for (std::size_t s = 0; s < shards.size(); ++s) {
-      if (buf->slices[s].count > 0) enqueue(*shards[s], buf);
-    }
+    // Every shard takes every epoch, empty slices included, so that each
+    // drains up to A(e) and the epochs finish in dispatch order.
+    buf->shardsLeft.store(shards.size(), std::memory_order_relaxed);
+    inFlight.push_back(buf);
+    for (auto& shard : shards) enqueue(*shard, buf);
   }
 
   // Queues work for a shard and wakes its worker loop if idle. `buf` is
@@ -375,7 +414,7 @@ struct ShardedSimulator::Impl {
       if (!failed.load(std::memory_order_relaxed)) {
         try {
           if (buf != nullptr) {
-            processSlice(shard, buf->slices[shard.index]);
+            processSlice(shard, *buf);
           } else {
             drainShard(shard);
           }
@@ -383,23 +422,28 @@ struct ShardedSimulator::Impl {
           recordError(std::current_exception());
         }
       }
+      // A failed slice still counts as done, so the feed never waits on it.
       if (buf != nullptr &&
           buf->shardsLeft.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        releaseBuffer(buf);
+        MutexLock lock(epochMutex);
+        epochDone.notify_one();
       }
     }
   }
 
   // The StreamEngine::place loop restricted to one key group: identical
   // drain order and the same commit kernel, hence identical validation and
-  // counted policy queries (DESIGN.md §14).
-  void processSlice(Shard& shard, const Slice& slice) {
+  // counted policy queries (DESIGN.md §14). The slice ends with a drain up
+  // to the epoch's last arrival — the departures the shard's next
+  // placement would drain first anyway — so its log covers the epoch.
+  void processSlice(Shard& shard, EpochBuffer& buf) {
+    Slice& slice = buf.slices[shard.index];
+    std::vector<PendingDeparture>* log =
+        options.computeLowerBound ? &slice.drained : nullptr;
     const bool capture = options.capturePlacements;
     for (std::size_t i = 0; i < slice.count; ++i) {
       const Time arrival = slice.arrivals[i];
-      while (!shard.pending.empty() && shard.pending.nextTime() <= arrival) {
-        popDeparture(shard);
-      }
+      drainUpTo(shard, arrival, log);
 
       const Item announced(slice.ids[i], slice.sizes[i], arrival,
                            slice.announcedDepartures[i]);
@@ -416,10 +460,19 @@ struct ShardedSimulator::Impl {
           {slice.departures[i], slice.ids[i], target, slice.sizes[i]});
       if (capture) shard.placements.emplace_back(slice.ids[i], target);
     }
+    drainUpTo(shard, buf.lastArrival, log);
   }
 
-  void popDeparture(Shard& shard) {
+  void drainUpTo(Shard& shard, Time time,
+                 std::vector<PendingDeparture>* log) {
+    while (!shard.pending.empty() && shard.pending.nextTime() <= time) {
+      popDeparture(shard, log);
+    }
+  }
+
+  void popDeparture(Shard& shard, std::vector<PendingDeparture>* log) {
     const PendingDeparture dep = shard.pending.pop();
+    if (log != nullptr) log->push_back(dep);
     if (shard.bins.removeItem(dep.bin, dep.size)) {
       shard.usageByBin[static_cast<std::size_t>(dep.bin)] =
           dep.time - shard.bins.info(dep.bin).openedAt;
@@ -429,7 +482,58 @@ struct ShardedSimulator::Impl {
   }
 
   void drainShard(Shard& shard) {
-    while (!shard.pending.empty()) popDeparture(shard);
+    std::vector<PendingDeparture>* log =
+        options.computeLowerBound ? &shard.finalDrained : nullptr;
+    while (!shard.pending.empty()) popDeparture(shard, log);
+  }
+
+  // --- Lower-bound merge (feed thread) --------------------------------
+
+  // Folds one epoch into the bound: its arrivals in feed order, each
+  // preceded by the logged departures at or before it. A shard's log holds
+  // exactly its departures in (A(e-1), A(e)], so this is StreamEngine's
+  // event sequence and no departure is left over.
+  void mergeEpoch(const EpochBuffer& buf) {
+    cursors.clear();
+    for (const Slice& slice : buf.slices) addCursor(slice.drained);
+    for (std::size_t i = 0; i < buf.count; ++i) {
+      mergeDepartures(buf.arrivals[i]);
+      lb3.onEvent(buf.arrivals[i], buf.sizes[i]);
+      ++liveItems;
+      result.peakOpenItems = std::max(result.peakOpenItems, liveItems);
+    }
+    CDBP_DCHECK(cursors.empty(), "sharded lb3 merge: an epoch's log holds a "
+                "departure after the epoch's last arrival");
+  }
+
+  void addCursor(const std::vector<PendingDeparture>& log) {
+    if (!log.empty()) cursors.push_back({log.data(), log.data() + log.size()});
+  }
+
+  // Feeds the logged departures at or before `upTo` to the bound, k-way
+  // merged in the DepartureQueue's (time, id) order. Each log is already
+  // in that order; doubles compare -0.0 equal to +0.0, as the queue does.
+  // A linear scan over the non-empty logs: O(shards) per departure, which
+  // DESIGN.md §14 measures at 3 and 12 shards.
+  void mergeDepartures(Time upTo) {
+    while (!cursors.empty()) {
+      std::size_t best = 0;
+      for (std::size_t c = 1; c < cursors.size(); ++c) {
+        const PendingDeparture& a = *cursors[c].next;
+        const PendingDeparture& b = *cursors[best].next;
+        if (a.time < b.time || (a.time == b.time && a.item < b.item)) {
+          best = c;
+        }
+      }
+      const PendingDeparture& dep = *cursors[best].next;
+      if (!(dep.time <= upTo)) return;
+      lb3.onEvent(dep.time, -dep.size);
+      --liveItems;
+      if (++cursors[best].next == cursors[best].end) {
+        cursors[best] = cursors.back();
+        cursors.pop_back();
+      }
+    }
   }
 
   // --- Finish & global reconstruction ---------------------------------
@@ -447,15 +551,27 @@ struct ShardedSimulator::Impl {
     }
 
     dispatchEpoch();
+    if (options.computeLowerBound) {
+      // Reserved here, on the feed thread once the shards are idle, not by
+      // each worker: glibc keeps a thread's freed blocks in that thread's
+      // arena, and per-worker logs raised peak RSS with the shard count
+      // (DESIGN.md §14).
+      pool->wait();
+      for (auto& shard : shards) {
+        shard->finalDrained.reserve(shard->pending.size());
+      }
+    }
     for (auto& shard : shards) enqueue(*shard, nullptr);
     pool->wait();
     rethrowIfFailed();
 
+    while (!inFlight.empty()) retireOldest();
     if (options.computeLowerBound) {
-      while (!lb3Pending.empty()) {
-        const PendingDeparture dep = lb3Pending.pop();
-        lb3.onEvent(dep.time, -dep.size);
-      }
+      const std::uint64_t mergeStart = stageNanos();
+      cursors.clear();
+      for (const auto& shard : shards) addCursor(shard->finalDrained);
+      mergeDepartures(std::numeric_limits<Time>::infinity());
+      CDBP_TELEM_COUNT("sim.sharded.lb3_merge_ns", stageNanos() - mergeStart);
       result.lb3 = lb3.total();
     }
 

@@ -20,7 +20,9 @@
 // epochs ahead of shard B, because nothing a shard does can affect another
 // shard's decisions. A bounded pool of epoch buffers throttles the feed
 // thread, keeping resident memory O(open state + epochs in flight), never
-// O(total items).
+// O(total items). Every shard takes every epoch, so epochs finish in
+// dispatch order, and the feed reuses the oldest buffer once it is done;
+// that is when it folds the epoch into the Proposition 3 bound.
 //
 // Bit-identity (DESIGN.md §14): each worker replays exactly the
 // StreamEngine loop restricted to its key group — departures drain in
@@ -59,8 +61,10 @@ struct ShardedOptions {
   /// depth and the memory bound.
   std::size_t maxEpochsInFlight = 4;
 
-  /// Maintain the incremental Proposition 3 bound on the feed thread
-  /// (bitwise identical to StreamEngine's, same accumulator code).
+  /// Maintain the incremental Proposition 3 bound (bitwise identical to
+  /// StreamEngine's, same accumulator code). The shards log the departures
+  /// they drain per epoch; the feed thread merges those logs with each
+  /// epoch's arrivals when it takes the epoch's buffer back.
   bool computeLowerBound = false;
 
   /// Record the per-item bin assignment (global ids) in
@@ -84,9 +88,9 @@ struct ShardedResult {
   std::size_t categoriesUsed = 0;
   /// Incremental Proposition 3 bound (0 when disabled).
   double lb3 = 0;
-  /// High-water mark of simultaneously pending departures. Tracked by the
-  /// feed thread's lb3 departure queue, so only meaningful when
-  /// computeLowerBound is on; 0 otherwise.
+  /// High-water mark of simultaneously pending departures, counted in the
+  /// lb3 merge's event sequence (equal to StreamEngine's), so only
+  /// meaningful when computeLowerBound is on; 0 otherwise.
   std::size_t peakOpenItems = 0;
   /// Shards actually used (1 for non-partitionable policies).
   std::size_t shards = 0;

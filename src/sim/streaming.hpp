@@ -134,8 +134,8 @@ struct StreamResult {
   /// BinManager::residentBytes). An estimate from container capacities,
   /// not an allocator measurement. The sharded engine reports 0 here (its
   /// state is spread across workers), and reports peakOpenItems only when
-  /// computeLowerBound is on (the feed thread's lb3 departure queue
-  /// tracks it).
+  /// computeLowerBound is on (the feed counts it while merging the
+  /// shards' departure logs into the bound).
   std::size_t peakResidentBytes = 0;
 };
 

@@ -10,8 +10,8 @@
 //
 // Not thread-safe: an arena belongs to one writer at a time. The epoch
 // pipeline hands a filled arena to worker threads read-only and only
-// resets it after the last reader is done (publication ordered by the
-// shard queues' mutexes).
+// resets it after the last reader is done (the shard queues' mutexes
+// order the hand-over, the buffer's release countdown the return).
 #pragma once
 
 #include <cstddef>

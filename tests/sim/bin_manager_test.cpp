@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
 #include "multidim/resources.hpp"
+#include "util/rng.hpp"
 
 namespace cdbp {
 namespace {
@@ -156,6 +161,96 @@ TEST(BinManager, ResidentBytesIncludeTheIndex) {
   EXPECT_GT(indexed.index().residentBytes(), 0u);
   EXPECT_EQ(indexed.residentBytes(),
             linear.residentBytes() + indexed.index().residentBytes());
+}
+
+// Closed ids leave the open lists lazily; every read must still match a
+// model that erases them eagerly, in opening order, on both engines.
+TEST(BinManager, LazyClosesMatchAnEagerModel) {
+  constexpr int kCategories = 4;
+  for (bool indexed : {true, false}) {
+    SCOPED_TRACE(indexed ? "indexed" : "linear");
+    BinManager mgr(indexed);
+    Rng rng(17);
+    std::vector<BinId> open;
+    std::map<int, std::vector<BinId>> byCategory;
+    std::vector<int> items;  // per bin id, items currently held
+    auto expectSameLists = [&] {
+      ASSERT_EQ(mgr.openCount(), open.size());
+      ASSERT_EQ(mgr.openBins(), open);
+      // One category past the used ones: never opened, always empty.
+      for (int c = 0; c <= kCategories; ++c) {
+        ASSERT_EQ(mgr.openBins(c), byCategory[c]) << "category " << c;
+      }
+    };
+    for (int step = 0; step < 4000; ++step) {
+      const std::uint64_t op = rng.uniformInt(0, 9);
+      if (op < 3 || open.empty()) {
+        const int category = static_cast<int>(rng.uniformInt(0, kCategories - 1));
+        const BinId b = mgr.openBin(category, static_cast<Time>(step));
+        mgr.addItem(b, 0.125);
+        open.push_back(b);
+        byCategory[category].push_back(b);
+        items.push_back(1);
+      } else if (op < 5) {
+        const BinId b = open[rng.uniformInt(0, open.size() - 1)];
+        if (items[static_cast<std::size_t>(b)] < 8) {
+          mgr.addItem(b, 0.125);
+          ++items[static_cast<std::size_t>(b)];
+        }
+      } else if (op < 9) {
+        const BinId b = open[rng.uniformInt(0, open.size() - 1)];
+        const bool closes = --items[static_cast<std::size_t>(b)] == 0;
+        ASSERT_EQ(mgr.removeItem(b, 0.125), closes);
+        if (closes) {
+          open.erase(std::find(open.begin(), open.end(), b));
+          auto& list = byCategory[mgr.info(b).category];
+          list.erase(std::find(list.begin(), list.end(), b));
+        }
+      } else {
+        expectSameLists();
+      }
+    }
+    expectSameLists();
+  }
+}
+
+// The open lists hold at most twice their open bins, so their bytes follow
+// the peak of open bins, not the bins ever opened. `churn` keeps up to
+// kPeak bins open while opening kBins and never reads its lists;
+// `baseline` opens the same bins in the same categories but closes each
+// at once, so the per-bin metadata and the category map cancel in the
+// difference.
+TEST(BinManager, OpenListBytesFollowOpenBinsNotBinsOpened) {
+  constexpr int kBins = 20000;
+  constexpr int kCategories = 3;
+  constexpr std::size_t kPeak = 16;
+  BinManager churn(false);
+  BinManager baseline(false);
+  std::vector<BinId> live;
+  for (int i = 0; i < kBins; ++i) {
+    const int category = i % kCategories;
+    const BinId b = churn.openBin(category, static_cast<Time>(i));
+    churn.addItem(b, 0.5);
+    live.push_back(b);
+    if (live.size() > kPeak) {
+      ASSERT_TRUE(churn.removeItem(live.front(), 0.5));
+      live.erase(live.begin());
+    }
+    const BinId once = baseline.openBin(category, static_cast<Time>(i));
+    baseline.addItem(once, 0.5);
+    ASSERT_TRUE(baseline.removeItem(once, 0.5));
+    // Reads compact, so the baseline's lists stay at most one id long.
+    ASSERT_TRUE(baseline.openBins().empty());
+    ASSERT_TRUE(baseline.openBins(category).empty());
+  }
+  ASSERT_EQ(churn.binsOpened(), baseline.binsOpened());
+  EXPECT_EQ(churn.openCount(), kPeak);
+  EXPECT_EQ(baseline.openCount(), 0u);
+  // Each list (all bins, and one per category) holds at most 2 (kPeak + 1)
+  // ids; growth by doubling at most doubles that again.
+  const std::size_t listBound =
+      4 * (kPeak + 1) * (1 + kCategories) * sizeof(BinId);
+  EXPECT_LE(churn.residentBytes(), baseline.residentBytes() + listBound);
 }
 
 }  // namespace
