@@ -35,6 +35,12 @@ Instance::Instance(std::vector<Item> items) : items_(std::move(items)) {
 
 std::vector<Item> Instance::sortedByArrival() const {
   std::vector<Item> order = items_;
+  // Ids are positions, so items whose arrivals never decrease are already
+  // in (arrival, id) order: a trace loads that way, and needs no sort.
+  auto byArrival = [](const Item& a, const Item& b) {
+    return a.arrival() < b.arrival();
+  };
+  if (std::is_sorted(order.begin(), order.end(), byArrival)) return order;
   std::stable_sort(order.begin(), order.end(), [](const Item& a, const Item& b) {
     if (a.arrival() != b.arrival()) return a.arrival() < b.arrival();
     return a.id < b.id;

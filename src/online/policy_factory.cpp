@@ -1,5 +1,6 @@
 #include "online/policy_factory.hpp"
 
+#include <algorithm>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -117,8 +118,18 @@ void requireDurations(const ParsedSpec& spec, const PolicyContext& context) {
 PolicyContext PolicyContext::forInstance(const Instance& instance,
                                          std::uint64_t seed) {
   PolicyContext context;
-  context.minDuration = instance.minDuration();
-  context.mu = instance.durationRatio();
+  // One pass for both extremes: the same values minDuration() and
+  // durationRatio() give, for a third of their walks over the items.
+  if (!instance.empty()) {
+    Time lo = kTimeInfinity;
+    Time hi = 0;
+    for (const Item& r : instance.items()) {
+      lo = std::min(lo, r.duration());
+      hi = std::max(hi, r.duration());
+    }
+    context.minDuration = lo;
+    context.mu = hi / lo;
+  }
   context.seed = seed;
   return context;
 }

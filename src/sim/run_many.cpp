@@ -4,7 +4,7 @@
 
 #include "core/lower_bounds.hpp"
 #include "util/thread_pool.hpp"
-#include "workload/trace_io.hpp"
+#include "workload/trace_internals.hpp"
 
 namespace cdbp {
 
@@ -90,8 +90,10 @@ std::vector<RunResult> runMany(const RunManySpec& spec) {
 
 std::function<Instance(std::uint64_t)> traceFileInstanceAxis(
     std::string path) {
+  // The axis already runs inside runMany's pool: one parse thread per
+  // load, so the pools do not multiply threads.
   return [path = std::move(path)](std::uint64_t /*seed*/) {
-    return loadTraceInstance(path);
+    return trace_internal::loadInstance(path, {.workers = 1});
   };
 }
 

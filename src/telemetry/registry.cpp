@@ -83,6 +83,20 @@ std::uint64_t RegistrySnapshot::counter(std::string_view name) const {
   return 0;
 }
 
+GaugeSnapshot RegistrySnapshot::gauge(std::string_view name) const {
+  for (const auto& [n, v] : gauges) {
+    if (n == name) return v;
+  }
+  return {};
+}
+
+HistogramSnapshot RegistrySnapshot::histogram(std::string_view name) const {
+  for (const auto& [n, v] : histograms) {
+    if (n == name) return v;
+  }
+  return {};
+}
+
 std::vector<std::pair<std::string, std::uint64_t>> diffCounters(
     const RegistrySnapshot& before, const RegistrySnapshot& after) {
   std::vector<std::pair<std::string, std::uint64_t>> out;

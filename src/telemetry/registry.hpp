@@ -345,6 +345,10 @@ struct RegistrySnapshot {
 
   /// Counter value by name; 0 when absent.
   std::uint64_t counter(std::string_view name) const;
+  /// Gauge by name; zeros when absent.
+  GaugeSnapshot gauge(std::string_view name) const;
+  /// Histogram by name; empty when absent.
+  HistogramSnapshot histogram(std::string_view name) const;
 };
 
 /// Counter increments between two snapshots (after - before), dropping

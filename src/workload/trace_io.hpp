@@ -38,6 +38,15 @@
 //
 // The reader is strict: any malformed line raises TraceError naming the
 // source and 1-based line number. Parsing never crashes and never guesses.
+//
+// Two paths read records. TraceReader pulls one record at a time and keeps
+// O(1) memory; it is what TraceArrivalSource replays. The whole-file entry
+// points (readTraceInstance, loadTraceInstance, scanTrace) cut the input
+// after the header into newline-aligned blocks and parse them on a small
+// worker pool (workload/trace_internals.hpp). Both paths run the same
+// line-level parse-and-validate function, and the block path checks
+// arrival order across block seams, so they accept the same files and
+// raise the same TraceError text for the first bad line.
 #pragma once
 
 #include <cstdint>
@@ -52,6 +61,10 @@
 #include "sim/streaming.hpp"
 
 namespace cdbp {
+
+namespace trace_internal {
+struct ReaderAccess;
+}  // namespace trace_internal
 
 /// Malformed trace input (or an unwritable/unreadable path). The message
 /// names the source and the offending 1-based line where applicable.
@@ -115,6 +128,9 @@ class TraceReader {
   const std::string& source() const { return source_; }
 
  private:
+  // The block parser takes over the stream after the header.
+  friend struct trace_internal::ReaderAccess;
+
   [[noreturn]] void fail(const std::string& why) const;
   void parseCsvHeader();
   void parseJsonlHeader();
@@ -128,9 +144,6 @@ class TraceReader {
   /// input.
   std::string_view headerLine(const std::string& missing);
   bool nextDataLine(std::string_view& line);
-  void parseCsvRecord(std::string_view line, TraceRecord& out);
-  void parseJsonlRecord(std::string_view line, TraceRecord& out);
-  void validateRecord(const TraceRecord& record);
 
   std::istream& in_;
   TraceFormat format_;
@@ -181,16 +194,19 @@ void saveTrace(const Instance& instance, const std::string& path,
 
 /// Materializes a scalar (dims == 1) trace as an Instance; ids are
 /// assigned in record order. Throws TraceError on multi-dimensional input.
+/// Parses on the block pool (see the file comment).
 Instance readTraceInstance(std::istream& in, TraceFormat format,
                            const std::string& source = "<trace>");
 
 /// readTraceInstance from a path; format from the extension. Reads the file
-/// twice: a line count first sizes the item vector exactly.
+/// twice: a line count first sizes the item vector exactly, then the block
+/// pool parses it (DESIGN.md §11.1).
 Instance loadTraceInstance(const std::string& path);
 
-/// One-pass O(1)-memory summary of a trace — enough to build a
-/// PolicyContext (minDuration, mu) for clairvoyant specs without
-/// materializing the trace.
+/// One-pass summary of a trace — enough to build a PolicyContext
+/// (minDuration, mu) for clairvoyant specs without materializing the
+/// trace. Parses on the block pool, so memory is the bounded block ring,
+/// not the trace; stats fold in file order, bitwise as a serial pass.
 struct TraceStats {
   std::size_t count = 0;
   std::size_t dims = 1;

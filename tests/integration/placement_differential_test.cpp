@@ -357,7 +357,7 @@ TEST(PlacementDifferential, RandomizedPropertySweep) {
 // probe.
 
 std::uint64_t fitChecks() {
-  return telemetry::Registry::global().counter("sim.fit_checks").value();
+  return telemetry::Registry::global().snapshot().counter("sim.fit_checks");
 }
 
 // Fit checks one engine issues on `inst`, counted on the stream engine

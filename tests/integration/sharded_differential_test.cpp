@@ -43,7 +43,7 @@ const std::vector<std::size_t>& workerCounts() {
 }
 
 std::uint64_t fitChecks() {
-  return telemetry::Registry::global().counter("sim.fit_checks").value();
+  return telemetry::Registry::global().snapshot().counter("sim.fit_checks");
 }
 
 struct BatchRun {

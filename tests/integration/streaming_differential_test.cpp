@@ -41,7 +41,7 @@ const std::vector<std::string>& allSpecs() {
 }
 
 std::uint64_t fitChecks() {
-  return telemetry::Registry::global().counter("sim.fit_checks").value();
+  return telemetry::Registry::global().snapshot().counter("sim.fit_checks");
 }
 
 struct BatchRun {

@@ -77,8 +77,8 @@ TEST(TelemetryInstrumentation, PolicyCountersAttributeOpens) {
 TEST(TelemetryInstrumentation, DdffSplitsSortAndPack) {
   Instance inst = smallWorkload();
   RegistrySnapshot before = Registry::global().snapshot();
-  std::uint64_t sortBefore =
-      Registry::global().histogram("offline.ddff.sort_ns").count();
+  const std::uint64_t sortBefore =
+      before.histogram("offline.ddff.sort_ns").count;
   durationDescendingFirstFit(inst);
   RegistrySnapshot after = Registry::global().snapshot();
   if constexpr (telemetry::kEnabled) {
@@ -88,23 +88,21 @@ TEST(TelemetryInstrumentation, DdffSplitsSortAndPack) {
     // so they land in sim.fit_checks (the former offline.ddff.bins_scanned).
     EXPECT_GE(delta(before, after, "sim.fit_checks"),
               delta(before, after, "offline.ddff.bins_opened"));
-    EXPECT_EQ(Registry::global().histogram("offline.ddff.sort_ns").count(),
-              sortBefore + 1);
+    EXPECT_EQ(after.histogram("offline.ddff.sort_ns").count, sortBefore + 1);
   }
 }
 
 TEST(TelemetryInstrumentation, DualColoringTimesBothPhases) {
   Instance inst = smallWorkload();
   RegistrySnapshot before = Registry::global().snapshot();
-  std::uint64_t p2Before =
-      Registry::global().histogram("offline.dual_coloring.phase2_ns").count();
+  const std::uint64_t p2Before =
+      before.histogram("offline.dual_coloring.phase2_ns").count;
   dualColoring(inst);
   RegistrySnapshot after = Registry::global().snapshot();
   if constexpr (telemetry::kEnabled) {
     EXPECT_EQ(delta(before, after, "offline.dual_coloring.runs"), 1u);
-    EXPECT_EQ(
-        Registry::global().histogram("offline.dual_coloring.phase2_ns").count(),
-        p2Before + 1);
+    EXPECT_EQ(after.histogram("offline.dual_coloring.phase2_ns").count,
+              p2Before + 1);
   }
 }
 
@@ -169,12 +167,16 @@ TEST(TelemetryInstrumentation, ShardedOpenBinsGaugeHoldsTheMergedPeak) {
   SimOptions options;
   options.engine = PlacementEngine::kSharded;
   options.shardedThreads = 3;
-  Registry::global().gauge("sim.open_bins").reset();
-  const SimResult result = simulateOnline(inst, *policy, options);
-  const telemetry::Gauge& gauge = Registry::global().gauge("sim.open_bins");
-  EXPECT_EQ(gauge.value(), 0);
+  // Reset only where the gauge exists: looking it up would register it.
   if constexpr (telemetry::kEnabled) {
-    EXPECT_GE(gauge.max(), static_cast<std::int64_t>(result.maxOpenBins));
+    Registry::global().gauge("sim.open_bins").reset();
+  }
+  const SimResult result = simulateOnline(inst, *policy, options);
+  const telemetry::GaugeSnapshot gauge =
+      Registry::global().snapshot().gauge("sim.open_bins");
+  EXPECT_EQ(gauge.value, 0);
+  if constexpr (telemetry::kEnabled) {
+    EXPECT_GE(gauge.max, static_cast<std::int64_t>(result.maxOpenBins));
   }
 }
 

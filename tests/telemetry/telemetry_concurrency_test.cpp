@@ -141,6 +141,23 @@ TEST(TelemetryConcurrency, SiteMacrosFromManyThreads) {
   }
 }
 
+// The engines' probe metrics between two snapshots of the global registry.
+// Snapshots read without registering, so a telemetry-off build's registry
+// stays empty.
+struct ProbeDeltas {
+  std::uint64_t samples = 0;  ///< sim.bins_scanned_per_placement count
+  std::uint64_t scanned = 0;  ///< its sum
+  std::uint64_t fitChecks = 0;
+};
+
+ProbeDeltas probeDeltas(const RegistrySnapshot& before,
+                        const RegistrySnapshot& after) {
+  const char* kScanned = "sim.bins_scanned_per_placement";
+  return {after.histogram(kScanned).count - before.histogram(kScanned).count,
+          after.histogram(kScanned).sum - before.histogram(kScanned).sum,
+          after.counter("sim.fit_checks") - before.counter("sim.fit_checks")};
+}
+
 TEST(TelemetryConcurrency, ConcurrentStreamsRecordTheirOwnProbes) {
   // Two engines placing at the same time must each record exactly their
   // own placements' probe counts: one sim.bins_scanned_per_placement sample
@@ -148,12 +165,7 @@ TEST(TelemetryConcurrency, ConcurrentStreamsRecordTheirOwnProbes) {
   // issued. The linear engine probes many bins per placement, so a probe
   // attributed to the wrong placement would show in either figure.
   constexpr std::size_t kItems = 20000;
-  Histogram& scanned =
-      Registry::global().histogram("sim.bins_scanned_per_placement");
-  Counter& fitChecks = Registry::global().counter("sim.fit_checks");
-  const std::uint64_t countBefore = scanned.count();
-  const std::uint64_t sumBefore = scanned.sum();
-  const std::uint64_t checksBefore = fitChecks.value();
+  const RegistrySnapshot before = Registry::global().snapshot();
 
   std::vector<std::thread> threads;
   for (std::uint64_t seed : {1u, 2u}) {
@@ -174,10 +186,12 @@ TEST(TelemetryConcurrency, ConcurrentStreamsRecordTheirOwnProbes) {
   }
   for (std::thread& t : threads) t.join();
 
+  const RegistrySnapshot after = Registry::global().snapshot();
+  const ProbeDeltas probes = probeDeltas(before, after);
   if constexpr (kEnabled) {
-    EXPECT_EQ(scanned.count() - countBefore, 2 * kItems);
-    EXPECT_EQ(scanned.sum() - sumBefore, fitChecks.value() - checksBefore);
-    EXPECT_GT(fitChecks.value() - checksBefore, 2 * kItems);
+    EXPECT_EQ(probes.samples, 2 * kItems);
+    EXPECT_EQ(probes.scanned, probes.fitChecks);
+    EXPECT_GT(probes.fitChecks, 2 * kItems);
   }
 }
 
@@ -304,9 +318,6 @@ TEST(TelemetryConcurrency, ShardedWorkersRecordTheirOwnProbes) {
   // the kernel's probes, and the samples add up to the fit checks the run
   // issued.
   constexpr std::size_t kItems = 20000;
-  Histogram& scanned =
-      Registry::global().histogram("sim.bins_scanned_per_placement");
-  Counter& fitChecks = Registry::global().counter("sim.fit_checks");
   WorkloadSpec spec;
   spec.numItems = kItems;
   spec.mu = 8.0;
@@ -315,17 +326,17 @@ TEST(TelemetryConcurrency, ShardedWorkersRecordTheirOwnProbes) {
   SimOptions options;
   options.engine = PlacementEngine::kSharded;
   options.shardedThreads = 3;
-  const std::uint64_t countBefore = scanned.count();
-  const std::uint64_t sumBefore = scanned.sum();
-  const std::uint64_t checksBefore = fitChecks.value();
+  const RegistrySnapshot before = Registry::global().snapshot();
 
   const SimResult result = simulateOnline(inst, *policy, options);
 
+  const ProbeDeltas probes =
+      probeDeltas(before, Registry::global().snapshot());
   EXPECT_GE(result.binsOpened, 1u);
   if constexpr (kEnabled) {
-    EXPECT_EQ(scanned.count() - countBefore, kItems);
-    EXPECT_EQ(scanned.sum() - sumBefore, fitChecks.value() - checksBefore);
-    EXPECT_GT(fitChecks.value() - checksBefore, 0u);
+    EXPECT_EQ(probes.samples, kItems);
+    EXPECT_EQ(probes.scanned, probes.fitChecks);
+    EXPECT_GT(probes.fitChecks, 0u);
   }
 }
 
