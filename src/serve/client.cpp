@@ -30,7 +30,8 @@ Client::~Client() {
 Client::Client(Client&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)),
       rbuf_(std::move(other.rbuf_)),
-      rpos_(other.rpos_) {}
+      rpos_(other.rpos_),
+      request_(std::move(other.request_)) {}
 
 Client& Client::operator=(Client&& other) noexcept {
   if (this != &other) {
@@ -38,6 +39,7 @@ Client& Client::operator=(Client&& other) noexcept {
     fd_ = std::exchange(other.fd_, -1);
     rbuf_ = std::move(other.rbuf_);
     rpos_ = other.rpos_;
+    request_ = std::move(other.request_);
   }
   return *this;
 }
@@ -130,11 +132,12 @@ OwnedFrame Client::expectFrame(FrameType expected) {
   return frame;
 }
 
-template <typename Reply>
-Reply Client::roundTrip(const std::vector<std::uint8_t>& request,
-                        FrameType replyType,
+template <typename Reply, typename Encode>
+Reply Client::roundTrip(Encode&& encode, FrameType replyType,
                         bool (*decode)(const FrameView&, Reply&)) {
-  sendAll(request.data(), request.size());
+  request_.clear();
+  encode(request_);
+  sendAll(request_.data(), request_.size());
   Reply reply;
   if (!decode(expectFrame(replyType).view(), reply)) {
     throw std::runtime_error(
@@ -145,39 +148,37 @@ Reply Client::roundTrip(const std::vector<std::uint8_t>& request,
 }
 
 HelloOkFrame Client::hello(const HelloFrame& helloIn) {
-  std::vector<std::uint8_t> bytes;
-  appendHello(bytes, helloIn);
-  return roundTrip(bytes, FrameType::kHelloOk, decodeHelloOk);
+  return roundTrip([&](auto& out) { appendHello(out, helloIn); },
+                   FrameType::kHelloOk, decodeHelloOk);
 }
 
 PlacedFrame Client::place(double size, double arrival, double departure) {
-  std::vector<std::uint8_t> bytes;
-  appendPlace(bytes, PlaceFrame{size, arrival, departure});
-  return roundTrip(bytes, FrameType::kPlaced, decodePlaced);
+  return roundTrip(
+      [&](auto& out) {
+        appendPlace(out, PlaceFrame{size, arrival, departure});
+      },
+      FrameType::kPlaced, decodePlaced);
 }
 
 DepartOkFrame Client::departUntil(double time) {
-  std::vector<std::uint8_t> bytes;
-  appendDepart(bytes, DepartFrame{time});
-  return roundTrip(bytes, FrameType::kDepartOk, decodeDepartOk);
+  return roundTrip([&](auto& out) { appendDepart(out, DepartFrame{time}); },
+                   FrameType::kDepartOk, decodeDepartOk);
 }
 
 StatsOkFrame Client::stats() {
-  std::vector<std::uint8_t> bytes;
-  appendStats(bytes);
-  return roundTrip(bytes, FrameType::kStatsOk, decodeStatsOk);
+  return roundTrip([](auto& out) { appendStats(out); }, FrameType::kStatsOk,
+                   decodeStatsOk);
 }
 
 DrainOkFrame Client::drain() {
-  std::vector<std::uint8_t> bytes;
-  appendDrain(bytes);
-  return roundTrip(bytes, FrameType::kDrainOk, decodeDrainOk);
+  return roundTrip([](auto& out) { appendDrain(out); }, FrameType::kDrainOk,
+                   decodeDrainOk);
 }
 
 std::string Client::scrape() {
-  std::vector<std::uint8_t> bytes;
-  appendScrape(bytes);
-  return roundTrip(bytes, FrameType::kScrapeOk, decodeScrapeOk).text;
+  return roundTrip([](auto& out) { appendScrape(out); }, FrameType::kScrapeOk,
+                   decodeScrapeOk)
+      .text;
 }
 
 // --- batch builder ---------------------------------------------------------
@@ -206,9 +207,8 @@ BatchOkFrame Client::sendBatch(const BatchFrame& frame) {
     throw std::logic_error("BATCH of " + std::to_string(frame.ops.size()) +
                            " ops exceeds kMaxBatchOps");
   }
-  std::vector<std::uint8_t> bytes;
-  appendBatch(bytes, frame);
-  return roundTrip(bytes, FrameType::kBatchOk, decodeBatchOk);
+  return roundTrip([&](auto& out) { appendBatch(out, frame); },
+                   FrameType::kBatchOk, decodeBatchOk);
 }
 
 }  // namespace cdbp::serve

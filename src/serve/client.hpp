@@ -136,16 +136,19 @@ class Client {
  private:
   BatchOkFrame sendBatch(const BatchFrame& frame);
   void sendAll(const std::uint8_t* data, std::size_t size);
-  /// One request/reply exchange: sends the encoded `request`, reads the
-  /// `replyType` frame and decodes it.
-  template <typename Reply>
-  Reply roundTrip(const std::vector<std::uint8_t>& request,
-                  FrameType replyType,
+  /// One request/reply exchange: `encode` appends the request to the
+  /// reused request_ buffer, which is sent; then reads the `replyType`
+  /// frame and decodes it.
+  template <typename Reply, typename Encode>
+  Reply roundTrip(Encode&& encode, FrameType replyType,
                   bool (*decode)(const FrameView&, Reply&));
 
   int fd_ = -1;
   std::vector<std::uint8_t> rbuf_;
   std::size_t rpos_ = 0;
+  // Request encode buffer, reused by every round trip (a BATCH is up to
+  // kMaxBatchOps ops, so this keeps its capacity between sends).
+  std::vector<std::uint8_t> request_;
 };
 
 }  // namespace cdbp::serve

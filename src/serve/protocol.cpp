@@ -1,7 +1,9 @@
 #include "serve/protocol.hpp"
 
 #include <bit>
+#include <cstring>
 #include <limits>
+#include <type_traits>
 
 namespace cdbp::serve {
 
@@ -27,25 +29,46 @@ namespace {
 
 // --- little-endian primitive writers -------------------------------------
 
+// Stores `v` little-endian at `at` and returns the byte after it. Every
+// encoder writes its fixed-width fields through this one store.
+template <typename T>
+std::uint8_t* storeLE(std::uint8_t* at, T v) {
+  static_assert(std::is_unsigned_v<T>);
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(at, &v, sizeof v);
+  } else {
+    for (std::size_t i = 0; i < sizeof v; ++i) {
+      at[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  }
+  return at + sizeof v;
+}
+
+std::uint8_t* storeF64(std::uint8_t* at, double v) {
+  return storeLE(at, std::bit_cast<std::uint64_t>(v));
+}
+
+template <typename T>
+void putLE(std::vector<std::uint8_t>& out, T v) {
+  const std::size_t at = out.size();
+  out.resize(at + sizeof v);
+  storeLE(out.data() + at, v);
+}
+
 void putU8(std::vector<std::uint8_t>& out, std::uint8_t v) {
   out.push_back(v);
 }
 
 void putU16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xFF));
-  out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xFF));
+  putLE(out, v);
 }
 
 void putU32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>((v >> shift) & 0xFF));
-  }
+  putLE(out, v);
 }
 
 void putU64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>((v >> shift) & 0xFF));
-  }
+  putLE(out, v);
 }
 
 void putI32(std::vector<std::uint8_t>& out, std::int32_t v) {
@@ -70,6 +93,19 @@ void putStr32(std::vector<std::uint8_t>& out, const std::string& s) {
   out.insert(out.end(), s.begin(), s.end());
 }
 
+// Grows `out` by `maxBytes` and hands `body` a cursor to write them; `body`
+// returns where it stopped, and `out` is trimmed back to that point. One
+// resize per call instead of one per field: the BATCH encoders size every
+// entry at its widest and write the fixed-width fields in place.
+template <typename Body>
+void putBulk(std::vector<std::uint8_t>& out, std::size_t maxBytes,
+             Body&& body) {
+  const std::size_t at = out.size();
+  out.resize(at + maxBytes);
+  std::uint8_t* end = body(out.data() + at);
+  out.resize(static_cast<std::size_t>(end - out.data()));
+}
+
 // Reserves the 4-byte length prefix, lets `body` append the payload, then
 // patches the prefix with the realized payload size.
 template <typename Body>
@@ -80,10 +116,7 @@ void frame(std::vector<std::uint8_t>& out, FrameType type, Body&& body) {
   body();
   std::uint32_t payload =
       static_cast<std::uint32_t>(out.size() - lengthAt - 4);
-  out[lengthAt + 0] = static_cast<std::uint8_t>(payload & 0xFF);
-  out[lengthAt + 1] = static_cast<std::uint8_t>((payload >> 8) & 0xFF);
-  out[lengthAt + 2] = static_cast<std::uint8_t>((payload >> 16) & 0xFF);
-  out[lengthAt + 3] = static_cast<std::uint8_t>((payload >> 24) & 0xFF);
+  storeLE(out.data() + lengthAt, payload);
 }
 
 // --- bounded cursor reader ------------------------------------------------
@@ -222,37 +255,50 @@ void appendDepartOk(std::vector<std::uint8_t>& out, const DepartOkFrame& f) {
 }
 
 void appendBatch(std::vector<std::uint8_t>& out, const BatchFrame& f) {
+  // kind + size, arrival, departure: the widest op (a DEPART is kind + time).
+  constexpr std::size_t kMaxOpBytes = 1 + 3 * 8;
   frame(out, FrameType::kBatch, [&] {
-    putU32(out, static_cast<std::uint32_t>(f.ops.size()));
-    for (const BatchOp& op : f.ops) {
-      putU8(out, op.kind);
-      if (op.kind == kBatchOpPlace) {
-        putF64(out, op.place.size);
-        putF64(out, op.place.arrival);
-        putF64(out, op.place.departure);
-      } else {
-        putF64(out, op.depart.time);
+    putBulk(out, 4 + f.ops.size() * kMaxOpBytes, [&](std::uint8_t* at) {
+      at = storeLE(at, static_cast<std::uint32_t>(f.ops.size()));
+      for (const BatchOp& op : f.ops) {
+        *at++ = op.kind;
+        if (op.kind == kBatchOpPlace) {
+          at = storeF64(at, op.place.size);
+          at = storeF64(at, op.place.arrival);
+          at = storeF64(at, op.place.departure);
+        } else {
+          at = storeF64(at, op.depart.time);
+        }
       }
-    }
+      return at;
+    });
   });
 }
 
 void appendBatchOk(std::vector<std::uint8_t>& out, const BatchOkFrame& f) {
+  // kind + drained + openBins: the widest result (a PLACED entry is
+  // kind + item + bin + openedNewBin + category, 14 bytes).
+  constexpr std::size_t kMaxResultBytes = 1 + 2 * 8;
   frame(out, FrameType::kBatchOk, [&] {
-    putU32(out, static_cast<std::uint32_t>(f.results.size()));
-    for (const BatchResultEntry& r : f.results) {
-      putU8(out, r.kind);
-      if (r.kind == kBatchOpPlace) {
-        putU32(out, r.placed.item);
-        putI32(out, r.placed.bin);
-        putU8(out, r.placed.openedNewBin);
-        putI32(out, r.placed.category);
-      } else {
-        putU64(out, r.depart.drained);
-        putU64(out, r.depart.openBins);
-      }
-    }
-    putU8(out, f.failed);
+    putBulk(out, 4 + f.results.size() * kMaxResultBytes + 1,
+            [&](std::uint8_t* at) {
+              at = storeLE(at, static_cast<std::uint32_t>(f.results.size()));
+              for (const BatchResultEntry& r : f.results) {
+                *at++ = r.kind;
+                if (r.kind == kBatchOpPlace) {
+                  at = storeLE(at, r.placed.item);
+                  at = storeLE(at, static_cast<std::uint32_t>(r.placed.bin));
+                  *at++ = r.placed.openedNewBin;
+                  at = storeLE(at,
+                               static_cast<std::uint32_t>(r.placed.category));
+                } else {
+                  at = storeLE(at, r.depart.drained);
+                  at = storeLE(at, r.depart.openBins);
+                }
+              }
+              *at++ = f.failed;
+              return at;
+            });
     if (f.failed != 0) {
       putU32(out, f.failedIndex);
       putU16(out, static_cast<std::uint16_t>(f.errorCode));

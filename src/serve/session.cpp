@@ -161,13 +161,21 @@ void Session::handleFrame(const FrameView& frame) {
     case FrameType::kHello:
       handleHello(frame);
       return;
-    case FrameType::kPlace:
+    case FrameType::kPlace: {
+      CDBP_TELEM_SCOPED_TIMER(timer, "serve.place_ns");
+      handleOp(frame);
+      return;
+    }
     case FrameType::kDepart:
       handleOp(frame);
       return;
-    case FrameType::kBatch:
+    case FrameType::kBatch: {
+      // One sample per frame, not per op: a per-op timer cost more than
+      // the placement it timed.
+      CDBP_TELEM_SCOPED_TIMER(timer, "serve.batch_ns");
       handleBatch(frame);
       return;
+    }
     case FrameType::kStats:
       if (!decodeEmpty(frame)) {
         sendError(ErrorCode::kMalformedFrame, "STATS carries no body");
@@ -271,9 +279,7 @@ void Session::handleHello(const FrameView& frame) {
     tenantBytes_ = &registry.counter(prefix + ".bytes");
     tenantUsage_ = &registry.counter(prefix + ".usage");
   }
-  std::vector<std::uint8_t> reply;
-  appendHelloOk(reply, ok);
-  sendBytes(reply);
+  reply([&](auto& out) { appendHelloOk(out, ok); });
 }
 
 void Session::handleOp(const FrameView& frame) {
@@ -293,19 +299,17 @@ void Session::handleOp(const FrameView& frame) {
     sendError(error->code, error->message);
     return;
   }
-  std::vector<std::uint8_t> bytes;
   if (isPlace) {
     CDBP_TELEM_COUNT("serve.placements", 1);
     counters_.placements.fetch_add(1, std::memory_order_relaxed);
     if (tenantPlacements_ != nullptr) tenantPlacements_->add(1);
     ++placementsSinceNote_;
     noteTenantProgress(/*force=*/false);
-    appendPlaced(bytes, result.placed);
+    reply([&](auto& out) { appendPlaced(out, result.placed); });
   } else {
     noteTenantProgress(/*force=*/true);
-    appendDepartOk(bytes, result.depart);
+    reply([&](auto& out) { appendDepartOk(out, result.depart); });
   }
-  sendBytes(bytes);
 }
 
 void Session::handleBatch(const FrameView& frame) {
@@ -341,9 +345,7 @@ void Session::handleBatch(const FrameView& frame) {
     placementsSinceNote_ += placed;
   }
   noteTenantProgress(/*force=*/true);
-  std::vector<std::uint8_t> bytes;
-  appendBatchOk(bytes, ok);
-  sendBytes(bytes);
+  reply([&](auto& out) { appendBatchOk(out, ok); });
 }
 
 std::optional<ErrorFrame> Session::execute(const BatchOp& op,
@@ -361,7 +363,6 @@ std::optional<ErrorFrame> Session::execute(const BatchOp& op,
   result.kind = op.kind;
   try {
     if (isPlace) {
-      CDBP_TELEM_SCOPED_TIMER(timer, "serve.place_ns");
       StreamEngine::Placement placed = engine.place(
           StreamItem{op.place.size, op.place.arrival, op.place.departure});
       result.placed.item = placed.item;
@@ -394,9 +395,7 @@ void Session::handleStats() {
   ok.peakOpenItems = engine.peakOpenItems();
   ok.peakResidentBytes = engine.peakResidentBytes();
   noteTenantProgress(/*force=*/true);
-  std::vector<std::uint8_t> bytes;
-  appendStatsOk(bytes, ok);
-  sendBytes(bytes);
+  reply([&](auto& out) { appendStatsOk(out, ok); });
 }
 
 void Session::handleDrainRequest() {
@@ -422,18 +421,14 @@ void Session::handleDrainRequest() {
   // long-lived connections do not pin finished sessions in memory.
   engine_.reset();
   policy_.reset();
-  std::vector<std::uint8_t> bytes;
-  appendDrainOk(bytes, ok);
-  sendBytes(bytes);
+  reply([&](auto& out) { appendDrainOk(out, ok); });
 }
 
 void Session::handleScrape() {
   CDBP_TELEM_COUNT("serve.scrapes", 1);
   ScrapeOkFrame ok;
   ok.text = telemetry::exposeTextString(telemetry::Registry::global());
-  std::vector<std::uint8_t> bytes;
-  appendScrapeOk(bytes, ok);
-  sendBytes(bytes);
+  reply([&](auto& out) { appendScrapeOk(out, ok); });
 }
 
 void Session::noteTenantProgress(bool force) {
@@ -448,19 +443,16 @@ void Session::sendError(ErrorCode code, const std::string& message) {
   ErrorFrame error;
   error.code = code;
   error.message = message;
-  std::vector<std::uint8_t> bytes;
-  appendError(bytes, error);
-  sendBytes(bytes);
+  reply([&](auto& out) { appendError(out, error); });
   counters_.errorsSent.fetch_add(1, std::memory_order_relaxed);
   CDBP_TELEM_COUNT("serve.errors", 1);
 }
 
-void Session::sendBytes(const std::vector<std::uint8_t>& bytes) {
-  wbuf_.insert(wbuf_.end(), bytes.begin(), bytes.end());
+void Session::noteSent(std::size_t bytes) {
   CDBP_TELEM_COUNT("serve.frames_tx", 1);
   counters_.framesSent.fetch_add(1, std::memory_order_relaxed);
   if (tenantBytes_ != nullptr) {
-    tenantBytes_->add(static_cast<std::uint64_t>(bytes.size()));
+    tenantBytes_->add(static_cast<std::uint64_t>(bytes));
   }
   std::size_t pending = pendingWrite();
   if (pending > counters_.peakWriteBuffered()) {

@@ -127,7 +127,17 @@ class Session {
   /// sends the right typed error and returns false when not serviceable.
   bool requireSession(const char* verb);
   void sendError(ErrorCode code, const std::string& message);
-  void sendBytes(const std::vector<std::uint8_t>& bytes);
+  /// Encodes one reply frame straight into the write buffer (encode is
+  /// called with wbuf_) and accounts for it through noteSent.
+  template <typename Encode>
+  void reply(Encode&& encode) {
+    const std::size_t before = wbuf_.size();
+    encode(wbuf_);
+    noteSent(wbuf_.size() - before);
+  }
+  /// Frame and byte counters, and the write-buffer high-water gauge, for a
+  /// reply of `bytes` just appended to wbuf_.
+  void noteSent(std::size_t bytes);
   void flushWrites();
   void noteTenantProgress(bool force);
 

@@ -3,7 +3,7 @@
 #include <stdexcept>
 #include <thread>
 
-#include "telemetry/registry.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace cdbp::serve {
 
@@ -113,10 +113,7 @@ std::uint64_t TenantTable::open(const std::string& name,
     row.policyName = policyName;
     count = tenants_.size();
   }
-  if (telemetry::kEnabled) {
-    telemetry::Registry::global().gauge("serve.tenants").set(
-        static_cast<std::int64_t>(count));
-  }
+  CDBP_TELEM_GAUGE_SET("serve.tenants", count);
   return id;
 }
 

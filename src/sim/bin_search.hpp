@@ -151,9 +151,14 @@ class MinLevelTreeT {
 /// open bin fits. A category's scope exists while the category has an open
 /// bin, and only once a second category appears: while every bin opened so
 /// far shares one category, that category's scope would mirror the global
-/// one bin for bin, so its queries read the global scope instead. Not
-/// copyable: each bin records a pointer to its category scope (std::map
-/// nodes survive moves, not copies).
+/// one bin for bin, so its queries read the global scope instead. The
+/// global scope, in turn, is kept only while something reads it: when the
+/// second category appears it becomes the first category's scope, and the
+/// first global query after that rebuilds it from the category scopes'
+/// open bins, in bin-id order (which is opening order), and maintains it
+/// from then on. Category policies never ask a global query, so they never
+/// pay for a second tree. Not copyable: each bin records a pointer to its
+/// category scope (std::map nodes survive moves, not copies).
 template <typename R>
 class BinSearchIndexT {
  public:
@@ -173,7 +178,8 @@ class BinSearchIndexT {
   void onClose(BinId id);
 
   /// Leaf slots of the global scope's tree: O(open bins), not O(bins ever
-  /// opened) — at most 4 * (peak open bins) + 1.
+  /// opened) — at most 4 * (peak open bins) + 1. 0 once a second category
+  /// has opened, until the next global query rebuilds the scope.
   std::size_t slotCapacity() const { return global_.tree.capacity(); }
   /// The same for one category's scope (0 while the category has no open
   /// bin).
@@ -187,20 +193,20 @@ class BinSearchIndexT {
   std::size_t residentBytes() const;
 
   BinId firstFit(const Demand& demand) const {
-    return firstFitIn(global_, demand);
+    return firstFitIn(liveGlobal(), demand);
   }
   BinId firstFitIn(int category, const Demand& demand) const;
   BinId bestFit(const Demand& demand) const
     requires(R::kOrderedLevels)
   {
-    return bestFitIn(global_, demand);
+    return bestFitIn(liveGlobal(), demand);
   }
   BinId bestFitIn(int category, const Demand& demand) const
     requires(R::kOrderedLevels);
   BinId worstFit(const Demand& demand) const
     requires(R::kOrderedLevels)
   {
-    return worstFitIn(global_, demand);
+    return worstFitIn(liveGlobal(), demand);
   }
   BinId worstFitIn(int category, const Demand& demand) const
     requires(R::kOrderedLevels);
@@ -248,8 +254,9 @@ class BinSearchIndexT {
 
   // Where a bin lives: its slot in the global tree and in its category's
   // tree, and that category's scope (null while one category is all there
-  // is). Meaningless once the bin closed (its category scope may be gone),
-  // and never read then.
+  // is). `global` is meaningless while the global scope is not kept, and
+  // all three are once the bin closed (its category scope may be gone);
+  // neither is ever read then.
   struct BinSlots {
     std::uint32_t global = 0;
     std::uint32_t inCategory = 0;
@@ -263,9 +270,17 @@ class BinSearchIndexT {
   // The scope answering queries for `category`, or null when it has no
   // open bin.
   const Scope* scopeOf(int category) const;
-  // Ends single-category mode: gives firstCategory_ its own scope, a copy
-  // of the global one.
+  // Ends single-category mode: the global scope becomes firstCategory_'s
+  // scope, and the global scope is no longer kept.
   void splitCategories();
+  // The global scope, rebuilt first if it is not kept.
+  const Scope& liveGlobal() const {
+    if (!globalLive_) rebuildGlobal();
+    return global_;
+  }
+  // Rebuilds the global scope from every category scope's open bins, in
+  // bin-id order, and keeps it from then on.
+  void rebuildGlobal() const;
   void apply(Scope& scope, std::size_t slot, BinId id, const Level* newLevel);
   // Bytes of a scope's tree and slot map (what slotBytes_ sums).
   static std::size_t scopeBytes(const Scope& scope);
@@ -278,15 +293,21 @@ class BinSearchIndexT {
     requires(R::kOrderedLevels);
 
   Shape shape_;
-  Scope global_;
+  // The global scope and the records of its slots are rebuilt inside
+  // logically-const queries (rebuildGlobal), hence mutable; like byLevel,
+  // that is safe because one single-threaded simulation owns the index.
+  mutable Scope global_;
   std::map<int, Scope> byCategory_;
   // Per-bin slot records, indexed by the dense BinId (bins open in id
   // order). Compaction renumbers slots, so a slot is never a bin id.
-  std::vector<BinSlots> slots_;
+  mutable std::vector<BinSlots> slots_;
   // Running totals behind residentBytes(): scopeBytes() over every scope,
   // and the entries of every Best Fit set.
-  std::size_t slotBytes_ = 0;
+  mutable std::size_t slotBytes_ = 0;
   mutable std::size_t levelEntries_ = 0;
+  // global_ is maintained: always in single-category mode, and after a
+  // second category opened only once a global query has rebuilt it.
+  mutable bool globalLive_ = true;
   // Single-category mode: every bin opened so far has firstCategory_, and
   // byCategory_ is empty.
   bool oneCategory_ = true;
@@ -474,18 +495,48 @@ const typename BinSearchIndexT<R>::Scope* BinSearchIndexT<R>::scopeOf(
 template <typename R>
 void BinSearchIndexT<R>::splitCategories() {
   oneCategory_ = false;
-  if (global_.tree.openCount() == 0) return;  // firstCategory_ has no open bin
-  Scope& cat =
-      byCategory_.try_emplace(firstCategory_, global_).first->second;
-  cat.category = firstCategory_;
-  slotBytes_ += scopeBytes(cat);
-  levelEntries_ += cat.byLevel.size();
-  for (std::size_t slot = 0; slot < cat.tree.size(); ++slot) {
-    if (R::isClosed(cat.tree.levelAt(slot))) continue;
-    BinSlots& bin = slots_[static_cast<std::size_t>(cat.slotToBin[slot])];
-    bin.inCategory = bin.global;
-    bin.category = &cat;
+  globalLive_ = false;
+  if (global_.tree.openCount() == 0) {
+    // firstCategory_ has no open bin, so it gets no scope.
+    slotBytes_ -= scopeBytes(global_);
+  } else {
+    // Moved, not copied: the bytes and Best Fit entries change owner.
+    Scope& cat = byCategory_.try_emplace(firstCategory_, std::move(global_))
+                     .first->second;
+    cat.category = firstCategory_;
+    for (std::size_t slot = 0; slot < cat.tree.size(); ++slot) {
+      if (R::isClosed(cat.tree.levelAt(slot))) continue;
+      BinSlots& bin = slots_[static_cast<std::size_t>(cat.slotToBin[slot])];
+      bin.inCategory = bin.global;
+      bin.category = &cat;
+    }
   }
+  global_ = Scope(shape_, 0);
+}
+
+template <typename R>
+void BinSearchIndexT<R>::rebuildGlobal() const {
+  std::vector<BinId> open;
+  for (const auto& entry : byCategory_) {
+    const Scope& scope = entry.second;
+    for (std::size_t slot = 0; slot < scope.tree.size(); ++slot) {
+      if (!R::isClosed(scope.tree.levelAt(slot))) {
+        open.push_back(scope.slotToBin[slot]);
+      }
+    }
+  }
+  // Bins open in id order, so id order is the global opening order.
+  std::sort(open.begin(), open.end());
+  CDBP_DCHECK(global_.tree.capacity() == 0,
+              "BinSearchIndex::rebuildGlobal: the global scope is kept");
+  for (BinId id : open) {
+    BinSlots& bin = slots_[static_cast<std::size_t>(id)];
+    bin.global = static_cast<std::uint32_t>(
+        global_.tree.append(bin.category->tree.levelAt(bin.inCategory)));
+    global_.slotToBin.push_back(id);
+  }
+  slotBytes_ += scopeBytes(global_);
+  globalLive_ = true;
 }
 
 template <typename R>
@@ -499,7 +550,9 @@ void BinSearchIndexT<R>::onOpen(BinId id, int category) {
     splitCategories();
   }
   slots_.push_back(BinSlots{});
-  slots_.back().global = append(global_, id, &BinSlots::global);
+  if (globalLive_) {
+    slots_.back().global = append(global_, id, &BinSlots::global);
+  }
   Scope* cat = nullptr;
   if (!oneCategory_) {
     cat = &byCategory_.try_emplace(category, shape_, category).first->second;
@@ -508,7 +561,7 @@ void BinSearchIndexT<R>::onOpen(BinId id, int category) {
   }
   if constexpr (R::kOrderedLevels) {
     Level zero = R::zeroLevel(shape_);
-    for (Scope* scope : {&global_, cat}) {
+    for (Scope* scope : {globalLive_ ? &global_ : nullptr, cat}) {
       if (scope != nullptr && scope->byLevelBuilt) {
         scope->byLevel.insert({zero, id});
         ++levelEntries_;
@@ -544,7 +597,7 @@ void BinSearchIndexT<R>::onLevelChange(BinId id, const Level& newLevel) {
   CDBP_DCHECK(b < slots_.size(),
               "BinSearchIndex::onLevelChange: unknown bin ", id);
   const BinSlots& slots = slots_[b];
-  apply(global_, slots.global, id, &newLevel);
+  if (globalLive_) apply(global_, slots.global, id, &newLevel);
   if (slots.category != nullptr) {
     apply(*slots.category, slots.inCategory, id, &newLevel);
   }
@@ -555,7 +608,7 @@ void BinSearchIndexT<R>::onClose(BinId id) {
   std::size_t b = static_cast<std::size_t>(id);
   CDBP_DCHECK(b < slots_.size(), "BinSearchIndex::onClose: unknown bin ", id);
   const BinSlots& slots = slots_[b];
-  apply(global_, slots.global, id, nullptr);
+  if (globalLive_) apply(global_, slots.global, id, nullptr);
   if (slots.category == nullptr) return;
   Scope& cat = *slots.category;
   apply(cat, slots.inCategory, id, nullptr);

@@ -201,7 +201,10 @@ class StreamEngine {
   std::size_t peakOpenItems() const;
   std::size_t peakResidentBytes() const;
   /// Leaf slots of the placement index's global tree (0 for the linear
-  /// engine): bounded by the open bins, never by the bins ever opened.
+  /// engine): bounded by the open bins, never by the bins ever opened. It
+  /// reads 0 for category policies (cdt-ff, cd-ff, ...) once a second
+  /// category has opened: they only query category scopes, and the index
+  /// keeps the global tree only while something reads it.
   std::size_t indexSlotCapacity() const;
 
  private:

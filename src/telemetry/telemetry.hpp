@@ -42,8 +42,9 @@
   } while (0)
 
 #define CDBP_TELEM_SCOPED_TIMER(var, name)                       \
-  ::cdbp::telemetry::ScopedTimer var(                            \
-      ::cdbp::telemetry::Registry::global().histogram(name))
+  static ::cdbp::telemetry::Histogram& var##Sink =               \
+      ::cdbp::telemetry::Registry::global().histogram(name);     \
+  ::cdbp::telemetry::ScopedTimer var(var##Sink)
 
 #else  // !CDBP_TELEMETRY
 

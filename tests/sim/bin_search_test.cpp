@@ -397,10 +397,13 @@ BinId linearWorst(const std::vector<OpenBin>& open, int category, Size d) {
   return best;
 }
 
-TEST(BinSearchIndex, ChurnKeepsEveryScopeSizedByItsPeakOpenCount) {
-  // Thousands of bins open and close while only a few dozen are open at
-  // once. Every answer must match the linear reference, and every scope's
-  // tree must stay within 4 * (its peak open count) + 1 leaf slots.
+// Thousands of bins open and close while only a few dozen are open at
+// once. Every answer must match the linear reference, and every scope's
+// tree must stay within 4 * (its peak open count) + 1 leaf slots. Global
+// queries start at step `globalFrom`; before that, once a second category
+// has opened, the index keeps no global tree at all.
+void churn(int globalFrom) {
+  SCOPED_TRACE(testing::Message() << "global queries from step " << globalFrom);
   constexpr int kCategories = 3;
   Rng rng(17);
   BinSearchIndex index;
@@ -408,6 +411,8 @@ TEST(BinSearchIndex, ChurnKeepsEveryScopeSizedByItsPeakOpenCount) {
   std::map<int, std::size_t> peakIn;
   std::size_t peak = 0;
   BinId next = 0;
+  int firstCategory = 0;
+  bool twoCategories = false;
   for (int step = 0; step < 40000; ++step) {
     const bool openOne =
         open.empty() || (open.size() < 40 && rng.chance(0.5)) ||
@@ -415,6 +420,8 @@ TEST(BinSearchIndex, ChurnKeepsEveryScopeSizedByItsPeakOpenCount) {
     if (openOne) {
       int category = static_cast<int>(rng.uniformInt(0, kCategories - 1));
       index.onOpen(next, category);
+      if (next == 0) firstCategory = category;
+      twoCategories = twoCategories || category != firstCategory;
       open.push_back({next, category, 0.0});
       ++next;
     } else {
@@ -437,11 +444,19 @@ TEST(BinSearchIndex, ChurnKeepsEveryScopeSizedByItsPeakOpenCount) {
       ASSERT_LE(index.slotCapacityIn(c), 4 * peakIn[c] + 1) << "step " << step;
     }
     ASSERT_LE(index.slotCapacity(), 4 * peak + 1) << "step " << step;
+    if (step < globalFrom && twoCategories) {
+      ASSERT_EQ(index.slotCapacity(), 0u) << "step " << step;
+    }
 
     Size demand = 0.05 * static_cast<double>(rng.uniformInt(1, 20));
-    ASSERT_EQ(index.firstFit(demand), linearFirst(open, -1, demand));
-    ASSERT_EQ(index.bestFit(demand), linearBest(open, -1, demand));
-    ASSERT_EQ(index.worstFit(demand), linearWorst(open, -1, demand));
+    if (step >= globalFrom) {
+      ASSERT_EQ(index.firstFit(demand), linearFirst(open, -1, demand))
+          << "step " << step;
+      ASSERT_EQ(index.bestFit(demand), linearBest(open, -1, demand))
+          << "step " << step;
+      ASSERT_EQ(index.worstFit(demand), linearWorst(open, -1, demand))
+          << "step " << step;
+    }
     int c = static_cast<int>(rng.uniformInt(0, kCategories - 1));
     ASSERT_EQ(index.firstFitIn(c, demand), linearFirst(open, c, demand));
     ASSERT_EQ(index.bestFitIn(c, demand), linearBest(open, c, demand));
@@ -449,6 +464,13 @@ TEST(BinSearchIndex, ChurnKeepsEveryScopeSizedByItsPeakOpenCount) {
   }
   // The run opened far more bins than the trees hold.
   EXPECT_GT(static_cast<std::size_t>(next), 20 * (4 * peak + 1));
+}
+
+TEST(BinSearchIndex, ChurnKeepsEveryScopeSizedByItsPeakOpenCount) {
+  churn(/*globalFrom=*/0);
+  // The global tree is rebuilt only at step 20000, after many compactions
+  // and category-scope drops.
+  churn(/*globalFrom=*/20000);
 }
 
 }  // namespace

@@ -67,6 +67,15 @@ mechanically over ``src/``, ``tests/``, ``bench/`` and ``examples/``:
                      timeline's (time, id) order from one
                      ``DepartureQueue``; a second, hand-rolled queue is
                      where that order would drift.
+  registry-lookup-in-lib
+                     No ``Registry::global().counter(``/``.gauge(``/
+                     ``.histogram(`` under ``src/`` outside
+                     ``src/telemetry/``. Each lookup takes the registry
+                     mutex and searches a name map; the ``CDBP_TELEM_*``
+                     macros do it once per call site, and compile to
+                     nothing with telemetry off. A site with a dynamic
+                     name resolves its metric once and keeps the
+                     reference, with a justified suppression.
 
 Suppressing a finding
 ---------------------
@@ -165,6 +174,14 @@ HEAP_RE = re.compile(r"\b(?:push_heap|pop_heap|make_heap|priority_queue)\b")
 HEAP_DIR = "src/sim/"
 HEAP_EXEMPT = ("src/sim/stream_internals.hpp",)
 
+# A metric lookup in the global registry, chained onto the lookup call.
+REGISTRY_LOOKUP_RE = re.compile(
+    r"\bRegistry\s*::\s*global\s*\(\s*\)\s*\.\s*"
+    r"(?:counter|gauge|histogram)\s*\("
+)
+# The registry and the CDBP_TELEM_* macros live here.
+REGISTRY_LOOKUP_EXEMPT_DIR = "src/telemetry/"
+
 ALL_RULES = (
     "capacity-compare",
     "rng-discipline",
@@ -176,6 +193,7 @@ ALL_RULES = (
     "raw-number-parse",
     "commit-outside-kernel",
     "departure-order-outside-queue",
+    "registry-lookup-in-lib",
 )
 
 
@@ -403,6 +421,20 @@ class FileLint:
                     "(sim/stream_internals.hpp) so every engine drains them "
                     "in the same (time, id) order")
 
+    def check_registry_lookup_in_lib(self) -> None:
+        if not self.relpath.startswith("src/"):
+            return
+        if self.relpath.startswith(REGISTRY_LOOKUP_EXEMPT_DIR):
+            return
+        for idx, code in enumerate(self.code_lines, start=1):
+            if REGISTRY_LOOKUP_RE.search(code):
+                self.report(
+                    idx, "registry-lookup-in-lib",
+                    "metric lookup in the global registry (mutex and name "
+                    "search on every call); use the CDBP_TELEM_* macros "
+                    "from telemetry/telemetry.hpp, which resolve the metric "
+                    "once per call site")
+
     def check_pragma_once(self) -> None:
         if not self.relpath.endswith((".hpp", ".h")):
             return
@@ -421,6 +453,7 @@ class FileLint:
         self.check_raw_number_parse()
         self.check_commit_outside_kernel()
         self.check_departure_order_outside_queue()
+        self.check_registry_lookup_in_lib()
         self.check_pragma_once()
         return self.findings
 
@@ -469,6 +502,9 @@ FIXTURE_EXPECTATIONS = {
     "src/sim/bad_commit.cpp": {"commit-outside-kernel"},
     "src/sim/bad_heap.cpp": {"departure-order-outside-queue"},
     "src/sim/stream_internals.hpp": set(),
+    "src/serve/bad_registry_lookup.cpp": {"registry-lookup-in-lib"},
+    "src/serve/registry_lookup_suppressed_ok.cpp": set(),
+    "src/telemetry/registry_ok.cpp": set(),
 }
 
 
